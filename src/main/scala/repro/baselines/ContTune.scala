@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{ProcessResult, TuningSession}
+import repro.core.TuningSession
 import repro.dataflow._
 import repro.workloads.Workload
 
@@ -88,15 +88,10 @@ final class Gp(lengthScale: Double = 0.15, noiseSd: Double = 0.05) {
   * smallest p whose lower confidence bound on processing ability covers the
   * (measured-selectivity-propagated) required rate.
   */
-final class ContTuneSession(
-    workload: Workload,
-    mode: SimMode,
-    beta: Double = 1.0,
-    simSeed: Long = 7,
-) extends TuningSession {
+final class ContTuneSession(workload: Workload, mode: SimMode)
+    extends RateBasedSession(workload, mode) {
   override val methodName = "ContTune"
-  private val pMax = TuningSession.maxParallelism(mode)
-  private val dag  = workload.dag
+  private val beta = 1.0 // confidence-bound width, in posterior sds
 
   // Per-operator local history: parallelism -> latest measured per-instance
   // processing rate. ContTune's surrogate is over processing ability *per
@@ -107,7 +102,7 @@ final class ContTuneSession(
     scala.collection.mutable.Map(dag.ops.map(_.id -> scala.collection.mutable.Map.empty[Int, Double]): _*)
   private val maxObsPerOp = 30
 
-  private def record(obs: RunResult): Unit =
+  override protected def observe(obs: RunResult): Unit =
     dag.ops.foreach { op =>
       if (op.opType != OpType.Source) {
         val m = obs.ops(op.id)
@@ -147,50 +142,20 @@ final class ContTuneSession(
     }
   }
 
-  private var measurementEpoch = 0L
-
-  override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
-    val rates = workload.rates(multiplier, mode)
-    measurementEpoch += 1
-    var par = current
-    var reconfigs = 0
-    var obs = Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch)
-    record(obs)
-    var iter = 0
-    var done = false
-    while (!done && iter < TuningSession.maxIter) {
-      val req = RateEstimator.requiredRates(dag, rates, obs)
-      val allowProbe = iter < TuningSession.maxIter - 2 && !obs.jobBackpressure
-      val rec = dag.ops.map { op =>
-        val p =
-          if (op.opType == OpType.Source) 1
-          else recommendOp(op.id, req(op.id), par(op.id),
-            obs.ops(op.id).measuredPerInstanceRate, allowProbe)
-        op.id -> p
-      }.toMap
-      // Settles only on an exact fixed point (the big-small loop redeploys
-      // whenever its recommendation changes), like Algorithm 2's test.
-      if (!obs.jobBackpressure && rec == par) done = true
-      else {
-        // Same progress guarantee as DS2: a saturated operator is always
-        // scaled up, whatever the surrogate currently believes.
-        val target =
-          if (obs.jobBackpressure)
-            rec.map { case (id, p) =>
-              val floor = if (obs.ops(id).overloaded) par(id) + 1 else 1
-              id -> math.min(pMax, math.max(p, floor))
-            }
-          else rec
-        if (target == par) done = true
-        else {
-          par = target
-          reconfigs += 1
-          obs = Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch)
-          record(obs)
-        }
-      }
-      iter += 1
-    }
-    ProcessResult(par, reconfigs, if (obs.jobBackpressure) 1 else 0, obs)
+  override protected def recommend(rates: Map[String, Double], obs: RunResult, iter: Int): Map[String, Int] = {
+    val req = RateEstimator.requiredRates(dag, rates, obs)
+    val allowProbe = iter < TuningSession.maxIter - 2 && !obs.jobBackpressure
+    dag.ops.map { op =>
+      val p =
+        if (op.opType == OpType.Source) 1
+        else recommendOp(op.id, req(op.id), obs.parallelisms(op.id),
+          obs.ops(op.id).measuredPerInstanceRate, allowProbe)
+      op.id -> p
+    }.toMap
   }
+
+  // Settles only on an exact fixed point (the big-small loop redeploys
+  // whenever its recommendation changes), like Algorithm 2's test.
+  override protected def settled(rec: Map[String, Int], par: Map[String, Int]): Boolean =
+    rec == par
 }

@@ -1,35 +1,7 @@
 package repro.baselines
 
-import repro.core.{ProcessResult, TuningSession}
 import repro.dataflow._
 import repro.workloads.Workload
-
-/** Shared rate-propagation used by the rate-based tuners: the announced
-  * source rates pushed through the *measured* operator selectivities (the
-  * tuner cannot observe true selectivities — measurement error compounds
-  * along deep DAGs, which is why these methods degrade on structurally
-  * complex queries, §V-D).
-  */
-object RateEstimator {
-  def requiredRates(dag: Dag, sourceRates: Map[String, Double], obs: RunResult): Map[String, Double] = {
-    val req = scala.collection.mutable.Map.empty[String, Double]
-    dag.topoOrder.foreach { id =>
-      req(id) =
-        if (dag.upstream(id).isEmpty) sourceRates(id)
-        else dag.upstream(id).map(u => req(u) * obs.ops(u).measuredSelectivity).sum
-    }
-    req.toMap
-  }
-
-  /** Reconfiguration hysteresis: real controllers do not redeploy for a
-    * within-noise change. Stable iff every operator's recommendation is
-    * within max(1, 4%) of its current parallelism.
-    */
-  def withinBand(rec: Map[String, Int], par: Map[String, Int]): Boolean =
-    rec.forall { case (id, p) =>
-      math.abs(p - par(id)) <= math.max(1, math.ceil(0.04 * par(id)).toInt)
-    }
-}
 
 /** DS2 (Kalavri et al., OSDI'18): assumes processing ability is linear in
   * parallelism; each step recommends p = ceil(required rate / measured
@@ -37,17 +9,10 @@ object RateEstimator {
   * recommendation stabilizes. No use of history — every rate change starts
   * from fresh measurements (§VI).
   */
-final class Ds2Session(
-    workload: Workload,
-    mode: SimMode,
-    simSeed: Long = 7,
-) extends TuningSession {
+final class Ds2Session(workload: Workload, mode: SimMode) extends RateBasedSession(workload, mode) {
   override val methodName = "DS2"
-  private val pMax = TuningSession.maxParallelism(mode)
-  private val dag  = workload.dag
-  private var measurementEpoch = 0L
 
-  private def recommend(rates: Map[String, Double], obs: RunResult): Map[String, Int] = {
+  override protected def recommend(rates: Map[String, Double], obs: RunResult, iter: Int): Map[String, Int] = {
     val req = RateEstimator.requiredRates(dag, rates, obs)
     dag.ops.map { op =>
       val p =
@@ -60,45 +25,13 @@ final class Ds2Session(
     }.toMap
   }
 
-  override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
-    val rates = workload.rates(multiplier, mode)
-    measurementEpoch += 1
-    var par = current
-    var reconfigs = 0
-    var obs = Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch)
-    var iter = 0
-    var done = false
-    while (!done && iter < TuningSession.maxIter) {
-      val rec = recommend(rates, obs)
-      // Asymmetric fixed-point test: a recommendation *above* the running
-      // configuration signals missing capacity and always triggers a
-      // redeploy (so measurement jitter keeps DS2 reconfiguring — §V-D);
-      // a slightly lower one is within noise and is not acted on (scaling
-      // down on jitter would immediately bottleneck).
-      val settled = rec.forall { case (id, p) =>
-        p <= par(id) && par(id) - p <= math.max(1, math.ceil(0.02 * par(id)).toInt)
-      }
-      if (!obs.jobBackpressure && settled) done = true
-      else {
-        // Under backpressure the loop must make progress: a saturated
-        // operator's observed throughput per instance is exact, so DS2
-        // always scales a detected bottleneck up, never sideways.
-        val target =
-          if (obs.jobBackpressure)
-            rec.map { case (id, p) =>
-              val floor = if (obs.ops(id).overloaded) par(id) + 1 else 1
-              id -> math.min(pMax, math.max(p, floor))
-            }
-          else rec
-        if (target == par) done = true // no further adjustment available
-        else {
-          par = target
-          reconfigs += 1
-          obs = Simulator.run(dag, rates, par, mode, simSeed, measurementEpoch)
-        }
-      }
-      iter += 1
+  // Asymmetric fixed-point test: a recommendation *above* the running
+  // configuration signals missing capacity and always triggers a redeploy
+  // (so measurement jitter keeps DS2 reconfiguring — §V-D); a slightly
+  // lower one is within noise and is not acted on (scaling down on jitter
+  // would immediately bottleneck).
+  override protected def settled(rec: Map[String, Int], par: Map[String, Int]): Boolean =
+    rec.forall { case (id, p) =>
+      p <= par(id) && par(id) - p <= math.max(1, math.ceil(0.02 * par(id)).toInt)
     }
-    ProcessResult(par, reconfigs, if (obs.jobBackpressure) 1 else 0, obs)
-  }
 }

@@ -1,0 +1,86 @@
+package repro.baselines
+
+import repro.core.{ProcessResult, TuningSession}
+import repro.dataflow._
+import repro.workloads.Workload
+
+/** Shared rate-propagation used by the rate-based tuners: the announced
+  * source rates pushed through the *measured* operator selectivities (the
+  * tuner cannot observe true selectivities — measurement error compounds
+  * along deep DAGs, which is why these methods degrade on structurally
+  * complex queries, §V-D).
+  */
+object RateEstimator {
+  def requiredRates(dag: Dag, sourceRates: Map[String, Double], obs: RunResult): Map[String, Double] = {
+    val req = scala.collection.mutable.Map.empty[String, Double]
+    dag.topoOrder.foreach { id =>
+      req(id) =
+        if (dag.upstream(id).isEmpty) sourceRates(id)
+        else dag.upstream(id).map(u => req(u) * obs.ops(u).measuredSelectivity).sum
+    }
+    req.toMap
+  }
+}
+
+/** The closed loop DS2 and ContTune share: measure the running
+  * configuration, recommend a new one, redeploy, and repeat until the
+  * recommendation settles without backpressure or the iteration budget
+  * runs out. A method supplies only its recommendation and its settle test.
+  */
+abstract class RateBasedSession(workload: Workload, mode: SimMode) extends TuningSession {
+  protected val pMax = TuningSession.maxParallelism(mode)
+  protected val dag  = workload.dag
+  private var measurementEpoch = 0L
+
+  /** The next configuration, given the latest measurement of the running
+    * one; `iter` counts the recommendations already made in this process.
+    */
+  protected def recommend(rates: Map[String, Double], obs: RunResult, iter: Int): Map[String, Int]
+
+  /** Whether a recommendation made without backpressure ends the process. */
+  protected def settled(rec: Map[String, Int], par: Map[String, Int]): Boolean
+
+  /** Sees every measured deployment, the first one of a process included. */
+  protected def observe(obs: RunResult): Unit = ()
+
+  private def measure(rates: Map[String, Double], par: Map[String, Int]): RunResult = {
+    val obs = Simulator.run(dag, rates, par, mode, noiseEpoch = measurementEpoch)
+    observe(obs)
+    obs
+  }
+
+  override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
+    val rates = workload.rates(multiplier, mode)
+    measurementEpoch += 1
+    var par = current
+    var reconfigs = 0
+    var obs = measure(rates, par)
+    var iter = 0
+    var done = false
+    while (!done && iter < TuningSession.maxIter) {
+      val rec = recommend(rates, obs, iter)
+      if (!obs.jobBackpressure && settled(rec, par)) done = true
+      else {
+        // Under backpressure the loop must make progress: a saturated
+        // operator's observed throughput per instance is exact, so a
+        // detected bottleneck is always scaled up, never sideways, whatever
+        // the recommendation currently believes.
+        val target =
+          if (obs.jobBackpressure)
+            rec.map { case (id, p) =>
+              val floor = if (obs.ops(id).overloaded) par(id) + 1 else 1
+              id -> math.min(pMax, math.max(p, floor))
+            }
+          else rec
+        if (target == par) done = true // no further adjustment available
+        else {
+          par = target
+          reconfigs += 1
+          obs = measure(rates, par)
+        }
+      }
+      iter += 1
+    }
+    ProcessResult(par, reconfigs, if (obs.jobBackpressure) 1 else 0, obs)
+  }
+}

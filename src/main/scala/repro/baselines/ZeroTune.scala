@@ -18,13 +18,12 @@ final class ZeroTuneSession(
     encoder: GnnEncoder,
     workload: Workload,
     mode: SimMode,
-    samples: Int = 300,
-    sampleMaxP: Int = 80,
-    seed: Long = 31,
-    simSeed: Long = 7,
 ) extends TuningSession {
   override val methodName = "ZeroTune"
   private val dag = workload.dag
+  private val samples    = 300 // candidate parallelism groups per process
+  private val sampleMaxP = 80  // candidates draw each operator's p from [1, sampleMaxP]
+  private val seed       = 31L
   private var processCounter = 0L
 
   override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
@@ -53,7 +52,7 @@ final class ZeroTuneSession(
 
     val rec = dag.ops.zipWithIndex.map { case (op, i) => op.id -> bestP(i) }.toMap
     val reconfigs = if (rec != current) 1 else 0
-    val run = Simulator.run(dag, rates, rec, mode, simSeed)
+    val run = Simulator.run(dag, rates, rec, mode)
     ProcessResult(rec, reconfigs, if (run.jobBackpressure) 1 else 0, run)
   }
 }

@@ -29,7 +29,6 @@ final case class GraphSample(
     jobCost: Double,
 ) {
   def n: Int = x.length
-  def withParallelism(pn: Array[Double]): GraphSample = copy(pNorm = pn)
 }
 
 /** A dense parameter matrix with gradient and Adam moments. */

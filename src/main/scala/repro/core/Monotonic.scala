@@ -60,14 +60,11 @@ object FineTuneModel {
   * cache, so online refits with appended feedback rows are cheap — the
   * "lightweight prediction layer" property §IV-B asks of M_f.
   */
-final class MonotonicSvm(
-    embedDim: Int,
-    kNeighbors: Int = 16,
-    sharpness: Double = 60.0, // logistic slope per log10-parallelism unit
-    seed: Long = 13,
-) extends FineTuneModel {
+final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   override val name = "SVM"
   override val monotonic = true
+  private val kNeighbors = 16
+  private val sharpness  = 60.0 // logistic slope per log10-parallelism unit
 
   private var rows: Array[TrainRow] = Array.empty
   private val cache = new java.util.IdentityHashMap[Array[Double], java.lang.Double]()
@@ -150,14 +147,14 @@ final class MonotonicSvm(
 final class MonotonicGbt(
     embedDim: Int,
     rounds: Int = 30,
-    depth: Int = 3,
-    lr: Double = 0.3,
-    lambda: Double = 1.0,
-    minChild: Int = 5,
     enforceMonotone: Boolean = true,
 ) extends FineTuneModel {
   override val name = if (enforceMonotone) "XGBoost" else "GBT-unconstrained"
   override val monotonic: Boolean = enforceMonotone
+  private val depth    = 3
+  private val lr       = 0.3
+  private val lambda   = 1.0 // L2 penalty on leaf values
+  private val minChild = 5   // fewest rows in a leaf
 
   private val pIdx = embedDim // feature index of parallelism
 
@@ -294,15 +291,13 @@ final class MonotonicGbt(
   * mode is structural (non-monotone decision boundary makes the binary
   * search unsound), not capacity.
   */
-final class PlainNn(
-    embedDim: Int,
-    hidden: Int = 16,
-    epochs: Int = 40,
-    lr: Double = 0.05,
-    seed: Long = 29,
-) extends FineTuneModel {
+final class PlainNn(embedDim: Int) extends FineTuneModel {
   override val name = "NN"
   override val monotonic = false
+  private val hidden = 16
+  private val epochs = 40
+  private val lr     = 0.05
+  private val seed   = 29L
 
   private val inDim = embedDim + 1
   private def g(tag: String, i: Int): Double = {

@@ -25,9 +25,8 @@ final case class ClusterModel(
 ) {
   /** ConstructWarmUpDataset: embed sampled cluster history through the
     * frozen encoder; rows are (parallelism-agnostic embedding, parallelism,
-    * label) for every labeled operator. Capped for fine-tuning efficiency.
-    */
-  /** Cached default warm-up set — sessions for every workload in the same
+    * label) for every labeled operator, capped for fine-tuning efficiency.
+    * The default set is cached: sessions for every workload in the same
     * cluster share it instead of re-embedding the whole cluster history.
     */
   lazy val defaultWarmUpRows: Vector[TrainRow] = warmUpRows()

@@ -66,12 +66,11 @@ final class StreamTuneSession(
     pretrained: Pretrained,
     workload: Workload,
     val model: FineTuneModel,
-    refitEvery: Int = 10,
-    fitCap: Int = 9000,
-    simSeed: Long = 7,
 ) extends TuningSession {
   override val methodName = s"StreamTune(${model.name})"
 
+  private val refitEvery = 10   // processes between periodic refits
+  private val fitCap     = 9000 // most rows M_f is fitted on
   private val mode = pretrained.mode
   private val pMax = TuningSession.maxParallelism(mode)
   val cluster: ClusterModel = pretrained.assign(workload.dag)
@@ -153,7 +152,7 @@ final class StreamTuneSession(
         converged = true
       } else {
         if (rec != par) { par = rec; reconfigs += 1 }
-        val run = Simulator.run(dag, rates, par, mode, simSeed)
+        val run = Simulator.run(dag, rates, par, mode)
         // Lines 10-11: collect feedback labels into T, and fold the same
         // feedback into the monotonicity bounds.
         val labels = Labeler.label(run)
@@ -180,7 +179,7 @@ final class StreamTuneSession(
       }
       iter += 1
     }
-    if (lastRun == null) lastRun = Simulator.run(dag, rates, par, mode, simSeed)
+    if (lastRun == null) lastRun = Simulator.run(dag, rates, par, mode)
 
     // Rescue deployment: if the iteration budget ran out mid-recovery (deep
     // DAGs reveal bottlenecks one frontier at a time), fall back to the
@@ -194,7 +193,7 @@ final class StreamTuneSession(
           else safeMem.getOrElse((op.id, multiplier), pMax))
       }.toMap
       if (rescue != par) { par = rescue; reconfigs += 1 }
-      val run = Simulator.run(dag, rates, par, mode, simSeed)
+      val run = Simulator.run(dag, rates, par, mode)
       dag.ops.foreach { op =>
         if (!run.jobBackpressure) {
           val key = (op.id, multiplier)

@@ -236,6 +236,7 @@ object Simulator {
 
     val offered    = scala.collection.mutable.Map.empty[String, Double]
     val output     = scala.collection.mutable.Map.empty[String, Double]
+    val ability    = scala.collection.mutable.Map.empty[String, Double]
     val overloaded = scala.collection.mutable.Map.empty[String, Boolean]
 
     dag.topoOrder.foreach { id =>
@@ -245,17 +246,24 @@ object Simulator {
         else dag.upstream(id).map(output).sum
       val pa = processingAbility(op, parallelisms(id), mode)
       offered(id)    = in
+      ability(id)    = pa
       overloaded(id) = in > pa * (1.0 + 1e-9)
       output(id)     = math.min(in, pa) * op.selectivity
+    }
+
+    // Backpressured iff some descendant is overloaded: in reverse
+    // topological order every downstream operator is already decided.
+    val backpressured = scala.collection.mutable.Map.empty[String, Boolean]
+    dag.topoOrder.reverseIterator.foreach { id =>
+      backpressured(id) = dag.downstream(id).exists(d => overloaded(d) || backpressured(d))
     }
 
     val jobBp = overloaded.values.exists(identity)
     val metrics = dag.ops.map { op =>
       val id   = op.id
       val p    = parallelisms(id)
-      val pa   = processingAbility(op, p, mode)
+      val pa   = ability(id)
       val util = math.min(1.0, offered(id) / pa)
-      val bp   = dag.descendants(id).exists(overloaded)
       val truePerInstance = pa / p
       // At a saturated operator the observed throughput per instance IS the
       // capacity (busy fraction = 1), so rate-based tuners measure it
@@ -272,7 +280,7 @@ object Simulator {
         processingAbility = pa,
         utilization = util,
         overloaded = overloaded(id),
-        backpressured = bp,
+        backpressured = backpressured(id),
         outputRate = output(id),
         measuredPerInstanceRate = measured,
         // Selectivity is observed by record counting — inherently more

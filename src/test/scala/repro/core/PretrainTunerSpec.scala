@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.dataflow._
 import repro.workloads.{Nexmark, Pqp}
+import scala.collection.mutable.ArrayBuffer
 
 /** Shared tiny pre-training artifact so the pipeline tests do not retrain
   * per test. Small but real: 5 workloads, 40 runs each, 6 epochs.
@@ -152,13 +153,25 @@ class TunerSpec extends AnyFunSuite {
   }
 
   test("the fine-tuning dataset grows with feedback") {
+    // Delegates to the SVM and records the size of every set M_f is fitted on.
+    final class CountingModel(inner: FineTuneModel) extends FineTuneModel {
+      val fitSizes = ArrayBuffer[Int]()
+      def fit(rows: IndexedSeq[TrainRow]): Unit = { fitSizes += rows.size; inner.fit(rows) }
+      def bottleneckProb(h: Array[Double], p: Int): Double = inner.bottleneckProb(h, p)
+      def monotonic: Boolean = inner.monotonic
+      def name: String = inner.name
+    }
     val w = Pqp.linear(0)
-    val s = session(w)
-    val warm = TinyPretrain.pre.assign(w.dag).defaultWarmUpRows.size
+    val model = new CountingModel(new MonotonicSvm(TinyPretrain.pre.clusters.head.encoder.hidden))
+    val s = new StreamTuneSession(TinyPretrain.pre, w, model)
+    val warm = s.cluster.defaultWarmUpRows.size
     s.tuneProcess(4, TuningSession.initialConfig(w))
     s.tuneProcess(8, TuningSession.initialConfig(w))
-    // At least one labeled row per deploy was appended.
-    assert(s.model.isInstanceOf[MonotonicSvm]) // sanity on the wiring
-    assert(warm > 0)
+    // Construction fits the warm-up set alone. Within the first ten
+    // processes M_f is refit only after a deploy yields a bottleneck label,
+    // and Algorithm 1 labels a bottleneck only under job backpressure.
+    assert(warm > 0 && model.fitSizes.head == warm)
+    assert(model.fitSizes.size > 1, "no deploy was backpressured")
+    assert(model.fitSizes.tail.forall(_ > warm), model.fitSizes)
   }
 }
