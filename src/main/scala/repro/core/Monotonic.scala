@@ -56,9 +56,11 @@ object FineTuneModel {
   * axis, with monotonicity (probability non-increasing in p) holding by
   * construction for every h.
   *
-  * `fit` stores the support set and invalidates the per-embedding threshold
-  * cache, so online refits with appended feedback rows are cheap — the
-  * "lightweight prediction layer" property §IV-B asks of M_f.
+  * `fit` orders the support set by p once, with a stable counting sort, in
+  * O(n + max p), and invalidates the per-embedding threshold cache. A
+  * threshold is then one O(n·d) pass over the p-ordered rows: distances with
+  * the k-th smallest kept in a k-slot buffer, kernel weights, and the cut
+  * sweep, all in reused primitive buffers.
   */
 final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   override val name = "SVM"
@@ -66,11 +68,45 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   private val kNeighbors = 16
   private val sharpness  = 60.0 // logistic slope per log10-parallelism unit
 
-  private var rows: Array[TrainRow] = Array.empty
+  // The support set, ordered by p (ties in input order).
+  private var hs: Array[Array[Double]] = Array.empty
+  private var ps: Array[Int] = Array.empty
+  private var positive: Array[Boolean] = Array.empty
+  // Per-threshold scratch: squared distances, then kernel weights in place.
+  private var weights: Array[Double] = Array.empty
+  private val nearest = new Array[Double](kNeighbors)
   private val cache = new java.util.IdentityHashMap[Array[Double], java.lang.Double]()
 
   override def fit(data: IndexedSeq[TrainRow]): Unit = {
-    rows = data.toArray
+    val n = data.length
+    var maxP = 0
+    var i = 0
+    while (i < n) {
+      val p = data(i).p
+      require(p >= 1, s"MonotonicSvm.fit: row $i has parallelism $p; p must be >= 1")
+      if (p > maxP) maxP = p
+      i += 1
+    }
+    // Stable counting sort: start(p) is the first slot of parallelism p.
+    val start = new Array[Int](maxP + 2)
+    i = 0
+    while (i < n) { start(data(i).p + 1) += 1; i += 1 }
+    var p = 1
+    while (p <= maxP) { start(p + 1) += start(p); p += 1 }
+    hs = new Array[Array[Double]](n)
+    ps = new Array[Int](n)
+    positive = new Array[Boolean](n)
+    i = 0
+    while (i < n) {
+      val r = data(i)
+      val at = start(r.p)
+      start(r.p) = at + 1
+      hs(at) = r.h
+      ps(at) = r.p
+      positive(at) = r.label == 1
+      i += 1
+    }
+    if (weights.length < n) weights = new Array[Double](n)
     cache.clear()
   }
 
@@ -86,44 +122,57 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   }
 
   private def computeThreshold(h: Array[Double]): Double = {
-    if (rows.isEmpty) return -0.5
-    val n = rows.length
-    val d2 = new Array[Double](n)
+    val n = ps.length
+    if (n == 0) return -0.5
+    val w = weights
+    // Adaptive RBF bandwidth: squared distance to the k-th nearest row,
+    // kept as the k smallest distances in ascending order. A NaN distance
+    // is never kept, as if sorted after every number.
+    val k = math.max(1, math.min(kNeighbors, n - 1))
+    var kept = 0
     var i = 0
     while (i < n) {
-      var s = 0.0; val hi = rows(i).h; var j = 0
+      var s = 0.0; val hi = hs(i); var j = 0
       while (j < embedDim) { val d = h(j) - hi(j); s += d * d; j += 1 }
-      d2(i) = s
+      w(i) = s
+      val keep = if (kept < k) !java.lang.Double.isNaN(s) else s < nearest(k - 1)
+      if (keep) {
+        if (kept < k) kept += 1
+        var at = kept - 1
+        while (at > 0 && s < nearest(at - 1)) { nearest(at) = nearest(at - 1); at -= 1 }
+        nearest(at) = s
+      }
       i += 1
     }
-    // Adaptive RBF bandwidth: squared distance to the k-th nearest row.
-    val k = math.min(kNeighbors, n - 1)
-    val sorted = d2.clone()
-    java.util.Arrays.sort(sorted)
-    val sigma2 = math.max(1e-9, sorted(math.max(0, k - 1)))
-    val w = Array.tabulate(n)(i => math.exp(-d2(i) / (2.0 * sigma2)))
+    val sigma2 = math.max(1e-9, if (kept == k) nearest(k - 1) else Double.NaN)
+    // Kernel weights, and the weighted error of the cut t = -inf: every
+    // positive row misclassified.
+    var err = 0.0
+    i = 0
+    while (i < n) {
+      w(i) = math.exp(-w(i) / (2.0 * sigma2))
+      if (positive(i)) err += w(i)
+      i += 1
+    }
 
     // Sweep the cut over sorted log-parallelism values; minimize weighted
     // misclassification. label=1 at p_i wants t > pNorm(p_i); label=0 wants
     // t <= pNorm(p_i).
-    val order = (0 until n).sortBy(i => rows(i).p).toArray
-    var err = order.iterator.filter(i => rows(i).label == 1).map(w).sum // t = -inf
     var bestErr = err
     var bestT = -0.5
-    var idx = 0
-    while (idx < order.length) {
-      val p = rows(order(idx)).p
+    i = 0
+    while (i < n) {
+      val p = ps(i)
       // Move the cut just above parallelism p (flip all rows at this p).
-      while (idx < order.length && rows(order(idx)).p == p) {
-        val i2 = order(idx)
-        if (rows(i2).label == 1) err -= w(i2) else err += w(i2)
-        idx += 1
+      while (i < n && ps(i) == p) {
+        if (positive(i)) err -= w(i) else err += w(i)
+        i += 1
       }
       if (err < bestErr - 1e-12) {
         bestErr = err
         bestT =
-          if (idx >= order.length) Features.pNorm(p) + 0.15 // beyond all data
-          else (Features.pNorm(p) + Features.pNorm(rows(order(idx)).p)) / 2.0
+          if (i >= n) Features.pNorm(p) + 0.15 // beyond all data
+          else (Features.pNorm(p) + Features.pNorm(ps(i))) / 2.0
       }
     }
     bestT

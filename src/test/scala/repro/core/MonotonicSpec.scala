@@ -18,6 +18,60 @@ object MonotonicFixtures {
       val thr = 5 + 40 * hv(0)
       TrainRow(hv, p, if (p < thr) 1 else 0)
     }
+
+  /** The SVM threshold as computed before `fit` ordered the support set by
+    * p: a full sort of the distances for the k-th neighbour and a boxed
+    * sort of the rows by p on every call. The body is kept verbatim as the
+    * oracle the single-pass threshold must match bit for bit.
+    */
+  def referenceThreshold(rows: Array[TrainRow], embedDim: Int, h: Array[Double]): Double = {
+    val kNeighbors = 16
+    if (rows.isEmpty) return -0.5
+    val n = rows.length
+    val d2 = new Array[Double](n)
+    var i = 0
+    while (i < n) {
+      var s = 0.0; val hi = rows(i).h; var j = 0
+      while (j < embedDim) { val d = h(j) - hi(j); s += d * d; j += 1 }
+      d2(i) = s
+      i += 1
+    }
+    // Adaptive RBF bandwidth: squared distance to the k-th nearest row.
+    val k = math.min(kNeighbors, n - 1)
+    val sorted = d2.clone()
+    java.util.Arrays.sort(sorted)
+    val sigma2 = math.max(1e-9, sorted(math.max(0, k - 1)))
+    val w = Array.tabulate(n)(i => math.exp(-d2(i) / (2.0 * sigma2)))
+
+    // Sweep the cut over sorted log-parallelism values; minimize weighted
+    // misclassification. label=1 at p_i wants t > pNorm(p_i); label=0 wants
+    // t <= pNorm(p_i).
+    val order = (0 until n).sortBy(i => rows(i).p).toArray
+    var err = order.iterator.filter(i => rows(i).label == 1).map(w).sum // t = -inf
+    var bestErr = err
+    var bestT = -0.5
+    var idx = 0
+    while (idx < order.length) {
+      val p = rows(order(idx)).p
+      // Move the cut just above parallelism p (flip all rows at this p).
+      while (idx < order.length && rows(order(idx)).p == p) {
+        val i2 = order(idx)
+        if (rows(i2).label == 1) err -= w(i2) else err += w(i2)
+        idx += 1
+      }
+      if (err < bestErr - 1e-12) {
+        bestErr = err
+        bestT =
+          if (idx >= order.length) Features.pNorm(p) + 0.15 // beyond all data
+          else (Features.pNorm(p) + Features.pNorm(rows(order(idx)).p)) / 2.0
+      }
+    }
+    bestT
+  }
+
+  /** Bit-exact thresholds of `m` on every query embedding. */
+  def thresholdBits(m: MonotonicSvm, queries: Seq[Array[Double]]): Seq[Long] =
+    queries.map(q => java.lang.Double.doubleToLongBits(m.threshold(q)))
 }
 
 class MonotonicSpec extends AnyFunSuite {
@@ -123,6 +177,79 @@ class MonotonicSpec extends AnyFunSuite {
     val before = m.threshold(hv)
     m.fit((0 until 50).map(i => TrainRow(hv, 1 + i % 100, 1)))
     assert(m.threshold(hv) != before)
+  }
+
+  test("SVM thresholds match the sort-based reference bit for bit") {
+    // Row sets of every size around the k-neighbour clamp, with p drawn
+    // from a narrow range (heavy ties) or a wide one, embeddings drawn from
+    // a pool of 1, 2 or n entries (duplicates, some holding a NaN), and all
+    // labels positive, all negative or mixed.
+    val genCoord = Gen.frequency(30 -> Gen.choose(0.0, 1.0), 1 -> Gen.const(Double.NaN))
+    val genEmb = Gen.frequency(
+      20 -> Gen.listOfN(dim, Gen.choose(0.0, 1.0)).map(_.toArray),
+      1  -> Gen.listOfN(dim, genCoord).map(_.toArray))
+    def genCase(n: Int, label: Gen[Int]): Gen[(Array[TrainRow], Seq[Array[Double]])] =
+      for {
+        poolSize <- Gen.oneOf(1, 2, n)
+        pool     <- Gen.listOfN(poolSize, genEmb)
+        pHi      <- Gen.oneOf(2, 3, 100)
+        picks    <- Gen.listOfN(n, Gen.choose(0, poolSize - 1))
+        ps       <- Gen.listOfN(n, Gen.choose(1, pHi))
+        labels   <- Gen.listOfN(n, label)
+        fresh    <- Gen.listOfN(3, genEmb)
+      } yield {
+        val rs = picks.lazyZip(ps).lazyZip(labels).map((e, p, l) => TrainRow(pool(e), p, l)).toArray
+        (rs, pool.take(3) ++ fresh)
+      }
+    val labelings = Seq("all positive" -> Gen.const(1), "all negative" -> Gen.const(0),
+      "mixed" -> Gen.oneOf(0, 1))
+    for (n <- Seq(1, 2, 16, 17, 500); (labelName, label) <- labelings) {
+      val prop = Prop.forAll(genCase(n, label)) { case (rs, queries) =>
+        val m = new MonotonicSvm(dim)
+        m.fit(rs.toIndexedSeq)
+        val want = queries.map(q => java.lang.Double.doubleToLongBits(referenceThreshold(rs, dim, q)))
+        thresholdBits(m, queries) == want
+      }
+      val result = org.scalacheck.Test.check(
+        org.scalacheck.Test.Parameters.default.withMinSuccessfulTests(40), prop)
+      assert(result.passed, s"n=$n, $labelName: ${org.scalacheck.util.Pretty.pretty(result)}")
+    }
+    // A NaN distance among the first k rows by p sorts after every number,
+    // so the bandwidth still comes from the finite distances.
+    val nanRows = (1 to 17).map { p =>
+      TrainRow(if (p == 16) Array.fill(dim)(Double.NaN) else h(500 + p), p, if (p <= 8) 1 else 0)
+    }
+    val m = new MonotonicSvm(dim)
+    m.fit(nanRows)
+    val want = referenceThreshold(nanRows.toArray, dim, h(700))
+    assert(want > 0.0)
+    assert(thresholdBits(m, Seq(h(700))) == Seq(java.lang.Double.doubleToLongBits(want)))
+  }
+
+  test("SVM refits on fewer rows answer as a freshly fitted model") {
+    val queries = (0 until 25).map(i => h(10000 + i)) ++ (0 until 5).map(h)
+    val big   = rows(500)
+    val small = rows(40, seed = 3)
+    val grown = small ++ rows(25, seed = 4)
+    val reused = new MonotonicSvm(dim)
+    for (data <- Seq(big, small, grown)) {
+      reused.fit(data)
+      val fresh = new MonotonicSvm(dim)
+      fresh.fit(data)
+      assert(thresholdBits(reused, queries) == thresholdBits(fresh, queries), s"after a refit on ${data.size} rows")
+    }
+  }
+
+  test("SVM fit rejects parallelism below 1, naming the row") {
+    val m = new MonotonicSvm(dim)
+    val good = rows(100)
+    m.fit(good)
+    val before = thresholdBits(m, Seq(h(10000), h(10001)))
+    val bad = good.take(7) :+ TrainRow(h(1), 0, 1)
+    val e = intercept[IllegalArgumentException](m.fit(bad))
+    assert(e.getMessage.contains("row 7"), e.getMessage)
+    // The rejected fit leaves the previous support set in place.
+    assert(thresholdBits(m, Seq(h(10000), h(10001))) == before)
   }
 
   test("NN fits the same synthetic task to reasonable accuracy") {
