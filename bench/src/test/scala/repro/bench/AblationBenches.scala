@@ -36,10 +36,7 @@ class AblationBench extends AnyFunSuite {
 class GedTimingBench extends AnyFunSuite {
   test("Fig 11b: similarity-center time, direct vs A*-LSa") {
     val rows = PaperTables.gedTiming()
-    println(f"${"#DAGs"}%8s${"direct (ms)"}%14s${"A*-LSa (ms)"}%14s${"reduction"}%10s")
-    rows.foreach { case (n, direct, lsa) =>
-      println(f"$n%8d$direct%14.1f$lsa%14.1f${100 * (1 - lsa / direct)}%9.1f%%")
-    }
+    println(PaperTables.formatGedTiming(rows))
     // LSa wins, and its advantage grows with the population (paper: 99.65%
     // reduction at 400 DAGs).
     val (_, directLast, lsaLast) = rows.last

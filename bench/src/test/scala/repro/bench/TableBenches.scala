@@ -1,17 +1,13 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.harness.{Evaluation, PaperTables}
+import repro.harness.PaperTables
 
 /** Table II — the source-rate unit table is a spec: code must equal paper. */
 class TableIIBench extends AnyFunSuite {
   test("Table II: source-rate units match the paper verbatim") {
     assert(PaperTables.tableIIFromCode == PaperTables.tableII)
-    println(f"${"group"}%-12s${"stream"}%-12s${"Flink Wu"}%12s${"Timely Wu"}%12s")
-    PaperTables.tableII.foreach { case (g, s, f, t) =>
-      println(f"$g%-12s$s%-12s${f.map(_.toLong.toString).getOrElse("/")}%12s" +
-        f"${t.map(_.toLong.toString).getOrElse("/")}%12s")
-    }
+    println(PaperTables.formatTableII)
   }
 }
 
@@ -107,11 +103,7 @@ class TimelyBench extends AnyFunSuite {
     val stats = BenchData.timelyStats
     println(PaperTables.formatGroupTable(
       "Fig 8a: total parallelism @ 10Wu (Timely mode)", stats, _.parallelismAt10Wu))
-    stats.sortBy(s => (s.workloadKey, s.method)).foreach { s =>
-      println(f"${s.method}%-12s ${s.workloadKey}%-4s latency p50=${s.latencyP50At10Wu}%.3fs " +
-        f"p95=${s.latencyP95At10Wu}%.3fs p99=${s.latencyP99At10Wu}%.3fs " +
-        f"par=${s.parallelismAt10Wu}%.1f bp=${s.backpressureOccurrences}")
-    }
+    println(PaperTables.formatTimelyLatencies(stats))
 
     def par(m: String, g: String) = BenchData.groupMetric(stats, m, g, _.parallelismAt10Wu)
     // The headline: StreamTune needs drastically less parallelism on Timely

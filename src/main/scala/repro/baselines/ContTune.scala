@@ -8,7 +8,9 @@ import repro.workloads.Workload
   * processing ability), RBF kernel, zero prior mean. Small-n (<= ~30
   * observations) direct Cholesky solve.
   */
-final class Gp(lengthScale: Double = 0.15, noiseSd: Double = 0.05) {
+final class Gp(noiseSd: Double = 0.05) {
+  private val lengthScale = 0.15
+
   private var xs: Array[Double] = Array.empty
   private var ys: Array[Double] = Array.empty
   private var chol: Array[Array[Double]] = _

@@ -221,20 +221,22 @@ object Ged {
       useLsa: Boolean = true): Boolean =
     ged(a, b, bound = tau, useLsa = useLsa) <= tau
 
+  private val distanceCap = 40.0
+
   private val distanceMemo =
     new java.util.concurrent.ConcurrentHashMap[(LabeledGraph, LabeledGraph), java.lang.Double]()
 
-  /** Bounded distance for clustering: exact when below `cap`, else `cap`.
-    * The triangle-inequality property (Eq. 6) of GED is preserved up to the
+  /** Bounded distance for clustering: exact when below 40, else 40. The
+    * triangle-inequality property (Eq. 6) of GED is preserved up to the
     * cap, which K-means assignment tolerates. Memoized: K-means and the
     * elbow sweep revisit the same pairs many times.
     */
-  def distance(a: LabeledGraph, b: LabeledGraph, cap: Double = 40.0): Double = {
+  def distance(a: LabeledGraph, b: LabeledGraph): Double = {
     val key = if (a.hashCode <= b.hashCode) (a, b) else (b, a)
     val hit = distanceMemo.get(key)
     if (hit != null) hit.doubleValue()
     else {
-      val d = math.min(cap, ged(key._1, key._2, bound = cap))
+      val d = math.min(distanceCap, ged(key._1, key._2, bound = distanceCap))
       distanceMemo.put(key, d)
       d
     }

@@ -119,10 +119,13 @@ final class GnnEncoder(
     val inputDim: Int,
     val hidden: Int = 16,
     val layers: Int = 4,
-    val headHidden: Int = 8,
     val objective: Gnn.Objective = Gnn.BottleneckClassification,
     seed: Long = 42,
 ) {
+  private val headHidden = 8
+  private val lr         = 3e-3
+  private val batchSize  = 16
+
   private val w0 = new Param(hidden, inputDim, "w0", seed)
   private val b0 = new Param(hidden, 1, "b0", seed)
   private val ws = Array.tabulate(layers)(t => new Param(hidden, hidden, s"ws$t", seed))
@@ -253,12 +256,7 @@ final class GnnEncoder(
     * learned from sparse binary labels, and the optimizer needs many more
     * steps than full-batch epochs would give it.
     */
-  def train(
-      samples: IndexedSeq[GraphSample],
-      epochs: Int,
-      lr: Double = 3e-3,
-      batchSize: Int = 16,
-  ): Vector[Double] = {
+  def train(samples: IndexedSeq[GraphSample], epochs: Int): Vector[Double] = {
     val losses = Vector.newBuilder[Double]
     val totalPos     = samples.map(_.labels.count(_ == 1)).sum
     val totalLabeled = math.max(1, samples.map(_.labels.count(_ >= 0)).sum)

@@ -31,7 +31,9 @@ final case class ClusterModel(
     */
   lazy val defaultWarmUpRows: Vector[TrainRow] = warmUpRows()
 
-  def warmUpRows(cap: Int = 8000, seed: Long = 5): Vector[TrainRow] = {
+  private val warmUpSeed = 5L
+
+  def warmUpRows(cap: Int = 8000): Vector[TrainRow] = {
     val rows = Vector.newBuilder[TrainRow]
     history.foreach { h =>
       val sample = Pretrain.toSample(h)
@@ -48,7 +50,7 @@ final case class ClusterModel(
       // Seeded subsample, keeping all positives (they carry the threshold).
       val (pos, neg) = all.partition(_.label == 1)
       val keepNeg = neg.zipWithIndex
-        .filter { case (_, i) => DetRandom.unit(seed, "warm", i) < (cap - pos.size).toDouble / neg.size }
+        .filter { case (_, i) => DetRandom.unit(warmUpSeed, "warm", i) < (cap - pos.size).toDouble / neg.size }
         .map(_._1)
       pos ++ keepNeg
     }
@@ -78,34 +80,37 @@ object Pretrain {
     math.log(lat.sum / lat.size / 0.25)
   }
 
-  /** Build a [[GraphSample]] from a labeled history run. */
-  def toSample(h: HistoryRun): GraphSample = {
-    val dag = h.run.dag
-    val idx = dag.ops.map(_.id).zipWithIndex.toMap
-    GraphSample(
-      x = Features.encodeDag(dag, h.run.sourceRates),
-      upstream = dag.ops.map(op => dag.upstream(op.id).map(idx).toArray).toArray,
-      downstream = dag.ops.map(op => dag.downstream(op.id).map(idx).toArray).toArray,
-      pNorm = dag.ops.map(op => Features.pNorm(h.run.parallelisms(op.id))).toArray,
-      labels = dag.ops.map(op => h.labels(op.id)).toArray,
-      jobCost = jobCost(h.run),
-    )
-  }
-
-  /** A parallelism-agnostic sample of a DAG at given source rates (pNorm
-    * zeroed; used for embedding during online tuning).
+  /** A [[GraphSample]] of `dag` at the given source rates: features plus
+    * upstream/downstream adjacency as indices into `dag.ops`.
     */
-  def agnosticSample(dag: Dag, sourceRates: Map[String, Double]): GraphSample = {
+  private def sample(dag: Dag, sourceRates: Map[String, Double], pNorm: Array[Double],
+      labels: Array[Int], jobCost: Double): GraphSample = {
     val idx = dag.ops.map(_.id).zipWithIndex.toMap
     GraphSample(
       x = Features.encodeDag(dag, sourceRates),
       upstream = dag.ops.map(op => dag.upstream(op.id).map(idx).toArray).toArray,
       downstream = dag.ops.map(op => dag.downstream(op.id).map(idx).toArray).toArray,
-      pNorm = new Array[Double](dag.ops.size),
-      labels = Array.fill(dag.ops.size)(-1),
-      jobCost = 0.0,
+      pNorm = pNorm,
+      labels = labels,
+      jobCost = jobCost,
     )
   }
+
+  /** Build a [[GraphSample]] from a labeled history run. */
+  def toSample(h: HistoryRun): GraphSample = {
+    val dag = h.run.dag
+    sample(dag, h.run.sourceRates,
+      pNorm = dag.ops.map(op => Features.pNorm(h.run.parallelisms(op.id))).toArray,
+      labels = dag.ops.map(op => h.labels(op.id)).toArray,
+      jobCost = jobCost(h.run))
+  }
+
+  /** A parallelism-agnostic sample of a DAG at given source rates (pNorm
+    * zeroed; used for embedding during online tuning).
+    */
+  def agnosticSample(dag: Dag, sourceRates: Map[String, Double]): GraphSample =
+    sample(dag, sourceRates, pNorm = new Array[Double](dag.ops.size),
+      labels = Array.fill(dag.ops.size)(-1), jobCost = 0.0)
 
   /** Generate `runsPer` historical executions per workload: source-rate
     * multipliers drawn continuously from (1, 10) — disjoint from the

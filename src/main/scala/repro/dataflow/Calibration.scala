@@ -1,7 +1,8 @@
 package repro.dataflow
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 
 /** Grounds the substrate's monotone processing-ability assumption (the
   * paper's Fig. 4) on *real* Spark execution: time a fixed shuffle+aggregate
@@ -11,9 +12,19 @@ import org.apache.spark.sql.functions._
   */
 object Calibration {
 
+  /** `rows` rows of a key uniform over 1..nKeys and a uniform value,
+    * deterministic in `seed`.
+    */
+  private[dataflow] def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long)
+      : DataFrame =
+    spark.range(rows).select(
+      (rand(seed) * nKeys + 1).cast(LongType) as "k",
+      rand(seed + 1)                          as "v",
+    )
+
   /** Records/second achieved aggregating `rows` keyed rows at parallelism p. */
   def measuredRate(spark: SparkSession, rows: Long, parallelism: Int, seed: Long = 7): Double = {
-    val df = repro.SynthData.uniformKeys(spark, rows, 10_000, seed)
+    val df = uniformKeys(spark, rows, 10_000, seed)
       .repartition(parallelism)
       .groupBy("k")
       .agg(sum("v") as "s", count(lit(1)) as "c")

@@ -294,16 +294,19 @@ object Simulator {
     RunResult(dag, sourceRates, parallelisms, metrics, jobBp)
   }
 
+  private val latencyEpochs = 100
+  private val latencySeed   = 11L
+
   /** Per-epoch processing latencies (seconds) for a deployment — the Timely
     * per-epoch latency of §V-F. A backpressure-free job has latency governed
     * by mild queueing on its hottest operator; an overloaded job accumulates
     * backlog, so latency grows with the epoch index.
     */
-  def epochLatencies(result: RunResult, epochs: Int = 100, seed: Long = 11): Vector[Double] = {
+  def epochLatencies(result: RunResult): Vector[Double] = {
     val base    = 0.25 // seconds per epoch of data at zero load
     val maxUtil = result.metricsInTopoOrder.map(_.utilization).max
-    (1 to epochs).toVector.map { e =>
-      val jitter = 1.0 + 0.05 * DetRandom.signed(seed, result.dag.name, e)
+    (1 to latencyEpochs).toVector.map { e =>
+      val jitter = 1.0 + 0.05 * DetRandom.signed(latencySeed, result.dag.name, e)
       if (result.jobBackpressure) base * (1.0 + 0.5 * e) * jitter
       else base * (1.0 + 0.35 * maxUtil * maxUtil) * jitter
     }

@@ -157,6 +157,29 @@ object PaperTables {
 
   // ----- Formatting ----------------------------------------------------
 
+  /** Table II as printed: a header, then one row per source stream. */
+  def formatTableII: String = {
+    def wu(x: Option[Double]) = x.map(_.toLong.toString).getOrElse("/")
+    (f"${"group"}%-12s${"stream"}%-12s${"Flink Wu"}%12s${"Timely Wu"}%12s" +:
+      tableII.map { case (g, s, f, t) => f"$g%-12s$s%-12s${wu(f)}%12s${wu(t)}%12s" })
+      .mkString("\n")
+  }
+
+  /** Fig. 11b as printed: a header, then one row per [[gedTiming]] result. */
+  def formatGedTiming(rows: Seq[(Int, Double, Double)]): String =
+    (f"${"#DAGs"}%8s${"direct (ms)"}%14s${"A*-LSa (ms)"}%14s${"reduction"}%10s" +:
+      rows.map { case (n, direct, lsa) =>
+        f"$n%8d$direct%14.1f$lsa%14.1f${100 * (1 - lsa / direct)}%9.1f%%"
+      }).mkString("\n")
+
+  /** Fig. 8 latency lines: one per workload and method, in that order. */
+  def formatTimelyLatencies(stats: Seq[WorkloadStats]): String =
+    stats.sortBy(s => (s.workloadKey, s.method)).map { s =>
+      f"${s.method}%-12s ${s.workloadKey}%-4s latency p50=${s.latencyP50At10Wu}%.3fs " +
+        f"p95=${s.latencyP95At10Wu}%.3fs p99=${s.latencyP99At10Wu}%.3fs " +
+        f"par=${s.parallelismAt10Wu}%.1f bp=${s.backpressureOccurrences}"
+    }.mkString("\n")
+
   def formatGroupTable(
       title: String,
       stats: Seq[WorkloadStats],

@@ -26,11 +26,14 @@ object PaperJobs {
     ).show(100, truncate = false)
   }
 
-  def flink(): (SparkSession, Vector[WorkloadStats]) = {
+  /** Runs the Flink-mode evaluation and prints one group table of it. */
+  def flinkTable(title: String, metric: Evaluation.GroupRow => Double,
+      paper: Map[(String, String), Double] = Map.empty): Unit = {
     val spark = session("streamtune-repro")
-    val pre   = PaperTables.pretrainFlink()
-    val zt    = PaperTables.pretrainZeroTune()
-    (spark, PaperTables.flinkEvaluation(pre, zt))
+    val stats = PaperTables.flinkEvaluation(PaperTables.pretrainFlink(), PaperTables.pretrainZeroTune())
+    println(PaperTables.formatGroupTable(title, stats, metric, paper))
+    showStats(spark, stats)
+    spark.stop()
   }
 }
 
@@ -39,44 +42,27 @@ object TableIIJob {
   def main(args: Array[String]): Unit = {
     val code = PaperTables.tableIIFromCode
     require(code == PaperTables.tableII, "Table II drifted from the paper")
-    println(f"${"group"}%-12s${"stream"}%-12s${"Flink Wu"}%12s${"Timely Wu"}%12s")
-    PaperTables.tableII.foreach { case (g, s, f, t) =>
-      println(f"$g%-12s$s%-12s${f.map(_.toLong.toString).getOrElse("/")}%12s${t.map(_.toLong.toString).getOrElse("/")}%12s")
-    }
+    println(PaperTables.formatTableII)
   }
 }
 
 /** Table III: backpressure occurrences during tuning (paper vs measured). */
 object TableIIIJob {
-  def main(args: Array[String]): Unit = {
-    val (spark, stats) = PaperJobs.flink()
-    println(PaperTables.formatGroupTable("Table III: backpressure occurrences",
-      stats, _.backpressureOccurrences.toDouble, PaperTables.paperTableIII))
-    PaperJobs.showStats(spark, stats)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    PaperJobs.flinkTable("Table III: backpressure occurrences",
+      _.backpressureOccurrences.toDouble, PaperTables.paperTableIII)
 }
 
 /** Fig. 6 numbers: final total parallelism at 10*Wu in Flink mode. */
 object ParallelismJob {
-  def main(args: Array[String]): Unit = {
-    val (spark, stats) = PaperJobs.flink()
-    println(PaperTables.formatGroupTable("Fig 6: total parallelism @ 10Wu (Flink)",
-      stats, _.parallelismAt10Wu))
-    PaperJobs.showStats(spark, stats)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    PaperJobs.flinkTable("Fig 6: total parallelism @ 10Wu (Flink)", _.parallelismAt10Wu)
 }
 
 /** Fig. 7a numbers: average reconfigurations per tuning process. */
 object ReconfigJob {
-  def main(args: Array[String]): Unit = {
-    val (spark, stats) = PaperJobs.flink()
-    println(PaperTables.formatGroupTable("Fig 7a: avg reconfigurations per process",
-      stats, _.avgReconfigurations))
-    PaperJobs.showStats(spark, stats)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    PaperJobs.flinkTable("Fig 7a: avg reconfigurations per process", _.avgReconfigurations)
 }
 
 /** Fig. 8 numbers: Timely-mode parallelism + per-epoch latency percentiles. */
@@ -86,10 +72,7 @@ object TimelyJob {
     val stats = PaperTables.timelyEvaluation()
     println(PaperTables.formatGroupTable("Fig 8a: total parallelism @ 10Wu (Timely)",
       stats, _.parallelismAt10Wu))
-    stats.sortBy(s => (s.workloadKey, s.method)).foreach { s =>
-      println(f"${s.method}%-12s ${s.workloadKey}%-4s latency p50=${s.latencyP50At10Wu}%.3fs " +
-        f"p95=${s.latencyP95At10Wu}%.3fs p99=${s.latencyP99At10Wu}%.3fs")
-    }
+    println(PaperTables.formatTimelyLatencies(stats))
     PaperJobs.showStats(spark, stats)
     spark.stop()
   }
@@ -113,9 +96,6 @@ object AblationJob {
 /** Fig. 11b numbers: similarity-center time, direct GED vs AStar+-LSa. */
 object GedTimingJob {
   def main(args: Array[String]): Unit = {
-    println(f"${"#DAGs"}%8s${"direct (ms)"}%14s${"A*-LSa (ms)"}%14s${"reduction"}%10s")
-    PaperTables.gedTiming().foreach { case (n, direct, lsa) =>
-      println(f"$n%8d$direct%14.1f$lsa%14.1f${100 * (1 - lsa / direct)}%9.1f%%")
-    }
+    println(PaperTables.formatGedTiming(PaperTables.gedTiming()))
   }
 }

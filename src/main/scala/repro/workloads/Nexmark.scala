@@ -28,10 +28,9 @@ final case class Workload(
   * Q1/Q2 stateless map/filter, Q3 an incremental two-input join, Q5 a
   * sliding-window aggregation + join, Q8 a tumbling-window join.
   *
-  * Selectivities mirror the DataFrame semantics in
-  * [[repro.workloads.NexmarkQueries]] (filter pass rates, window
-  * compression); tuple widths approximate Nexmark record sizes. Source-rate
-  * units are Table II verbatim.
+  * Selectivities (filter pass rates, window compression) are modelling
+  * choices, not measured on Nexmark data; tuple widths approximate Nexmark
+  * record sizes. Source-rate units are Table II verbatim.
   */
 object Nexmark {
 

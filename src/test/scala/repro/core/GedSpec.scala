@@ -88,9 +88,9 @@ class GedSpec extends AnyFunSuite {
   test("distance is capped and memoized consistently") {
     val a = LabeledGraph.from(Nexmark.q1.dag)
     val b = LabeledGraph.from(Pqp.threeWayJoin(1).dag)
-    val d1 = Ged.distance(a, b, cap = 6.0)
-    val d2 = Ged.distance(a, b, cap = 6.0)
-    assert(d1 == d2 && d1 <= 6.0)
+    val d1 = Ged.distance(a, b)
+    assert(d1 == math.min(40.0, Ged.ged(a, b)))
+    assert(Ged.distance(a, b) == d1 && Ged.distance(b, a) == d1)
   }
 
   test("structurally similar PQP variants are closer than cross-template pairs") {

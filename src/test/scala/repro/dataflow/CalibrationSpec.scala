@@ -9,6 +9,11 @@ import repro.SparkSpec
   */
 class CalibrationSpec extends SparkSpec {
 
+  test("uniform keys cover the key space roughly evenly") {
+    val distinct = Calibration.uniformKeys(spark, 20000, 100, seed = 4).select("k").distinct().count()
+    assert(distinct > 90)
+  }
+
   test("measured rate is positive") {
     assert(Calibration.measuredRate(spark, 50_000, 2) > 0)
   }
