@@ -24,16 +24,7 @@ object Clustering {
       cluster: Seq[Int],
       tau: Double,
       useLsa: Boolean = true,
-  ): Map[Int, Int] = {
-    val counts = scala.collection.mutable.Map(cluster.map(_ -> 0): _*)
-    for (q <- cluster; g <- cluster) {
-      val within =
-        if (useLsa) Ged.withinThreshold(graphs(q), graphs(g), tau)
-        else Ged.ged(graphs(q), graphs(g), useLsa = false) <= tau
-      if (within) counts(g) += 1
-    }
-    counts.toMap
-  }
+  ): Map[Int, Int] = countsOf(cluster, searchWithin(graphs, tau, useLsa))
 
   /** Similarity center (Definition 2): argmax appearance count, ties broken
     * by lowest index for determinism.
@@ -43,15 +34,12 @@ object Clustering {
       cluster: Seq[Int],
       tau: Double,
       useLsa: Boolean = true,
-  ): Int = {
-    require(cluster.nonEmpty, "empty cluster has no similarity center")
-    val counts = appearanceCounts(graphs, cluster, tau, useLsa)
-    cluster.maxBy(g => (counts(g), -g))
-  }
+  ): Int = centerOf(cluster, searchWithin(graphs, tau, useLsa))
 
   /** K-means over graphs under (bounded) GED. Initialization picks k seeded
     * distinct graphs; update recomputes similarity centers; stops on stable
-    * centers or `maxIter`.
+    * centers or `maxIter`. Each pair's within-tau verdict is searched at most
+    * once per call.
     */
   def kmeans(
       graphs: IndexedSeq[LabeledGraph],
@@ -59,6 +47,14 @@ object Clustering {
       tau: Double = 5.0,
       maxIter: Int = 10,
       seed: Long = 3,
+  ): Result = kmeansWith(graphs, k, maxIter, seed, new Verdicts(graphs, tau))
+
+  private def kmeansWith(
+      graphs: IndexedSeq[LabeledGraph],
+      k: Int,
+      maxIter: Int,
+      seed: Long,
+      verdicts: Verdicts,
   ): Result = {
     require(k >= 1 && k <= graphs.size, s"k=$k out of range for ${graphs.size} graphs")
     // Seeded distinct initial centers.
@@ -81,7 +77,7 @@ object Clustering {
       val newCenters = centers.indices.map { c =>
         val members = graphs.indices.filter(assignment(_) == c)
         if (members.isEmpty) centers(c)
-        else similarityCenter(graphs, members, tau)
+        else centerOf(members, verdicts.within)
       }.toVector
       stable = newCenters == centers
       centers = newCenters
@@ -95,7 +91,8 @@ object Clustering {
   }
 
   /** Elbow method (§V-A): pick the k whose WCSS curve has the largest
-    * second difference (the sharpest bend) over `kRange`.
+    * second difference (the sharpest bend) over `kRange`. The k sweep
+    * shares one verdict table.
     */
   def elbowK(
       graphs: IndexedSeq[LabeledGraph],
@@ -106,10 +103,52 @@ object Clustering {
     val ks = kRange.filter(k => k >= 1 && k <= graphs.size).toVector
     require(ks.nonEmpty, "no valid k in range")
     if (ks.size <= 2) return ks.head
-    val wcss = ks.map(k => kmeans(graphs, k, tau, seed = seed).wcss)
+    val verdicts = new Verdicts(graphs, tau)
+    val wcss = ks.map(k => kmeansWith(graphs, k, maxIter = 10, seed, verdicts).wcss)
     val bends = (1 until ks.size - 1).map { i =>
       (wcss(i - 1) - wcss(i)) - (wcss(i) - wcss(i + 1))
     }
     ks(1 + bends.indices.maxBy(bends))
+  }
+
+  /** The similarity search's verdict "GED(graphs(q), graphs(g)) <= tau",
+    * searched afresh on every call.
+    */
+  private def searchWithin(graphs: IndexedSeq[LabeledGraph], tau: Double, useLsa: Boolean)
+      : (Int, Int) => Boolean =
+    if (useLsa) (q, g) => Ged.withinThreshold(graphs(q), graphs(g), tau)
+    else (q, g) => Ged.ged(graphs(q), graphs(g), useLsa = false) <= tau
+
+  /** Within-tau verdicts of one clustering call, each searched (A*-LSa) on
+    * first use. Keyed by the ordered pair of structures: `Ged.ged` reads
+    * only labels and edges, so equal graphs share a verdict. A table lives
+    * for one `kmeans` or `elbowK` call and is never global: timing
+    * `similarityCenter` (Fig. 11b) must keep timing the searches.
+    */
+  private final class Verdicts(graphs: IndexedSeq[LabeledGraph], tau: Double) {
+    private val structure: Array[Int] = {
+      val ids = scala.collection.mutable.HashMap.empty[LabeledGraph, Int]
+      graphs.map(g => ids.getOrElseUpdate(g, ids.size)).toArray
+    }
+    private val m = if (structure.isEmpty) 0 else structure.max + 1
+    private val known = new Array[Byte](m * m) // 0 not yet searched, 1 outside, 2 within
+
+    def within(q: Int, g: Int): Boolean = {
+      val i = structure(q) * m + structure(g)
+      if (known(i) == 0) known(i) = if (Ged.withinThreshold(graphs(q), graphs(g), tau)) 2 else 1
+      known(i) == 2
+    }
+  }
+
+  private def countsOf(cluster: Seq[Int], within: (Int, Int) => Boolean): Map[Int, Int] = {
+    val counts = scala.collection.mutable.Map(cluster.map(_ -> 0): _*)
+    for (q <- cluster; g <- cluster) if (within(q, g)) counts(g) += 1
+    counts.toMap
+  }
+
+  private def centerOf(cluster: Seq[Int], within: (Int, Int) => Boolean): Int = {
+    require(cluster.nonEmpty, "empty cluster has no similarity center")
+    val counts = countsOf(cluster, within)
+    cluster.maxBy(g => (counts(g), -g))
   }
 }

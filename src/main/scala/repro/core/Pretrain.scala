@@ -175,17 +175,22 @@ object Pretrain {
     val km = Clustering.kmeans(graphs, kUse, tau, seed = seed)
 
     val byDagName = histories.groupBy(_.run.dag.name)
-    val clusters = (0 until kUse).toVector.map { c =>
-      val memberIdx  = graphs.indices.filter(km.assignment(_) == c)
-      val memberDags = memberIdx.map(distinctDags(_).name).toSet
-      val clusterHist = memberIdx.toVector.flatMap(i => byDagName.getOrElse(distinctDags(i).name, Vector.empty))
-      val enc = new GnnEncoder(
+    val members = (0 until kUse).toVector.map(c => graphs.indices.filter(km.assignment(_) == c))
+    val clusterHists = members.map(_.toVector.flatMap(i => byDagName.getOrElse(distinctDags(i).name, Vector.empty)))
+    val samples = clusterHists.map(_.map(toSample).filter(_.labels.exists(_ >= 0)))
+    val encoders = (0 until kUse).toVector.map { c =>
+      new GnnEncoder(
         inputDim = Features.dim, hidden = hidden, layers = layers,
         objective = Gnn.BottleneckClassification, seed = DetRandom.mix(seed, "enc", c),
       )
-      val samples = clusterHist.map(toSample).filter(_.labels.exists(_ >= 0))
-      if (samples.nonEmpty) enc.train(samples, epochs)
-      ClusterModel(c, graphs(km.centers(c)), memberDags, enc, clusterHist)
+    }
+    // Each encoder is seeded per cluster and touches only its own weights,
+    // so training them concurrently gives the same weights as one after
+    // another. Largest cluster first: it bounds the wall time.
+    val order = (0 until kUse).filter(samples(_).nonEmpty).sortBy(c => -samples(c).size)
+    Workers.map(order, Runtime.getRuntime.availableProcessors())(c => encoders(c).train(samples(c), epochs))
+    val clusters = (0 until kUse).toVector.map { c =>
+      ClusterModel(c, graphs(km.centers(c)), members(c).map(distinctDags(_).name).toSet, encoders(c), clusterHists(c))
     }
     Pretrained(mode, clusters)
   }

@@ -90,6 +90,11 @@ final class StreamTuneSession(
   private val floorMem = scala.collection.mutable.Map.empty[(String, Double), Int]
   private val safeMem  = scala.collection.mutable.Map.empty[(String, Double), Int]
 
+  // Operator embeddings per rate multiplier. The encoder is frozen, so they
+  // depend on the multiplier alone; reusing the same arrays also lets M_f's
+  // per-embedding cache hit across processes until its next refit.
+  private val embeddings = scala.collection.mutable.Map.empty[Double, Map[String, Array[Double]]]
+
   private def fitRows: IndexedSeq[TrainRow] =
     if (tData.size <= fitCap) tData.toIndexedSeq
     else {
@@ -101,8 +106,10 @@ final class StreamTuneSession(
   override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
     val dag   = workload.dag
     val rates = workload.rates(multiplier, mode)
-    val emb   = cluster.encoder.embed(Pretrain.agnosticSample(dag, rates))
-    val embOf = dag.ops.map(_.id).zipWithIndex.map { case (id, i) => id -> emb(i) }.toMap
+    val embOf = embeddings.getOrElseUpdate(multiplier, {
+      val emb = cluster.encoder.embed(Pretrain.agnosticSample(dag, rates))
+      dag.ops.map(_.id).zipWithIndex.map { case (id, i) => id -> emb(i) }.toMap
+    })
 
     processes += 1
     if (pendingPositives || processes % refitEvery == 0) {

@@ -23,8 +23,8 @@ object Calibration {
     )
 
   /** Records/second achieved aggregating `rows` keyed rows at parallelism p. */
-  def measuredRate(spark: SparkSession, rows: Long, parallelism: Int, seed: Long = 7): Double = {
-    val df = uniformKeys(spark, rows, 10_000, seed)
+  def measuredRate(spark: SparkSession, rows: Long, parallelism: Int): Double = {
+    val df = uniformKeys(spark, rows, 10_000, seed = 7)
       .repartition(parallelism)
       .groupBy("k")
       .agg(sum("v") as "s", count(lit(1)) as "c")

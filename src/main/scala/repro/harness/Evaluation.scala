@@ -4,8 +4,6 @@ import repro.baselines._
 import repro.core._
 import repro.dataflow._
 import repro.workloads.{SourceRates, Workload, Workloads}
-import java.util.concurrent.{Callable, Executors, TimeUnit}
-import scala.jdk.CollectionConverters._
 
 /** Aggregated outcome of one (method, workload) evaluation over the full
   * 120-change periodic source-rate pattern.
@@ -89,7 +87,8 @@ object Evaluation {
   }
 
   /** Evaluate a set of (method name, session factory) pairs over workloads,
-    * in parallel across (method, workload) pairs. Deterministic: every
+    * in parallel across (method, workload) pairs: `threads` workers of the
+    * shared [[Workers]] pool pull the pairs in order. Deterministic: every
     * session is independently seeded.
     */
   def evaluate(
@@ -99,20 +98,8 @@ object Evaluation {
       threads: Int = math.max(2, Runtime.getRuntime.availableProcessors() - 2),
       patternSeed: Long = 2025,
   ): Vector[WorkloadStats] = {
-    val tasks: Seq[(Workload, String, Workload => TuningSession)] =
-      for (w <- workloads; (name, mk) <- methods) yield (w, name, mk)
-    val pool = Executors.newFixedThreadPool(threads)
-    try {
-      val futures = tasks.map { case (w, name, mk) =>
-        pool.submit(new Callable[WorkloadStats] {
-          override def call(): WorkloadStats = runOne(w, mode, name, mk, patternSeed)
-        })
-      }
-      futures.map(_.get()).toVector
-    } finally {
-      pool.shutdown()
-      pool.awaitTermination(1, TimeUnit.MINUTES)
-    }
+    val tasks = for (w <- workloads.toVector; (name, mk) <- methods) yield (w, name, mk)
+    Workers.map(tasks, threads) { case (w, name, mk) => runOne(w, mode, name, mk, patternSeed) }
   }
 
   /** Group-level aggregation matching the paper's table rows: Nexmark

@@ -105,6 +105,70 @@ class PretrainSpec extends AnyFunSuite {
   }
 }
 
+/** Pre-training whose cluster encoders train concurrently must give the
+  * weights the one-after-another pipeline gives.
+  */
+class ConcurrentPretrainSpec extends AnyFunSuite {
+  // Every sixth job from the fourth on: at seed 17 the elbow picks k = 6
+  // with four non-empty clusters and two empty ones.
+  private val fleet = repro.workloads.Workloads.all.zipWithIndex.collect { case (w, i) if i % 6 == 3 => w }
+  private val runsPer = 10
+  private val epochs  = 2
+  private val seed    = 17L
+
+  private def pretrain() = Pretrain.pretrain(fleet, SimMode.Flink, runsPer = runsPer, epochs = epochs, seed = seed)
+
+  /** The offline phase rebuilt sequentially from its public parts, as
+    * `Pretrain.pretrain` ran it before its encoders trained concurrently.
+    */
+  private def sequential(): (Vector[Set[String]], Vector[GnnEncoder], Vector[Vector[HistoryRun]]) = {
+    val histories = Pretrain.generateHistories(fleet, SimMode.Flink, runsPer, seed)
+    val dags = fleet.map(_.dag)
+    val graphs = dags.map(LabeledGraph.from)
+    val k = Clustering.elbowK(graphs, 2 to math.min(7, graphs.size - 1), 5.0, seed)
+    val km = Clustering.kmeans(graphs, k, 5.0, seed = seed)
+    val byDag = histories.groupBy(_.run.dag.name)
+    (0 until k).toVector.map { c =>
+      val memberIdx = graphs.indices.filter(km.assignment(_) == c)
+      val hist = memberIdx.toVector.flatMap(i => byDag.getOrElse(dags(i).name, Vector.empty))
+      val enc = new GnnEncoder(
+        inputDim = Features.dim, hidden = 24, layers = 5,
+        objective = Gnn.BottleneckClassification, seed = DetRandom.mix(seed, "enc", c))
+      val samples = hist.map(Pretrain.toSample).filter(_.labels.exists(_ >= 0))
+      if (samples.nonEmpty) enc.train(samples, epochs)
+      (memberIdx.map(dags(_).name).toSet, enc, hist)
+    }.unzip3
+  }
+
+  private def bits(enc: GnnEncoder, probe: GraphSample): Vector[Long] =
+    enc.predictProbs(probe).map(java.lang.Double.doubleToLongBits).toVector
+
+  test("concurrently trained encoders equal sequentially trained ones bit for bit") {
+    val pre = pretrain()
+    val (members, encoders, hists) = sequential()
+    assert(pre.clusters.map(_.memberDags) == members)
+    assert(pre.clusters.count(_.history.nonEmpty) >= 3, pre.clusters.map(_.memberDags))
+    assert(pre.clusters.exists(_.memberDags.isEmpty), pre.clusters.map(_.memberDags))
+    // A probe from every non-empty cluster, scored by every encoder (the
+    // empty clusters' untrained ones included).
+    val probes = hists.filter(_.nonEmpty).map(h => Pretrain.toSample(h.head))
+    pre.clusters.zip(encoders).foreach { case (c, enc) =>
+      probes.foreach(p => assert(bits(c.encoder, p) == bits(enc, p), s"cluster ${c.id}"))
+    }
+  }
+
+  test("two pre-trainings running at once give identical results") {
+    // Each call also submits its encoders to the shared pool from inside a
+    // worker of that pool.
+    val Vector(a, b) = Workers.map(Vector(1, 2), workers = 2)(_ => pretrain())
+    assert(a.clusters.map(_.memberDags) == b.clusters.map(_.memberDags))
+    val probes = a.clusters.filter(_.history.nonEmpty).map(c => Pretrain.toSample(c.history.head))
+    a.clusters.zip(b.clusters).foreach { case (x, y) =>
+      probes.foreach(p => assert(bits(x.encoder, p) == bits(y.encoder, p), s"cluster ${x.id}"))
+    }
+  }
+}
+
 class TunerSpec extends AnyFunSuite {
 
   private def session(w: repro.workloads.Workload) =

@@ -1,8 +1,9 @@
 package repro.harness
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TinyPretrain
 import repro.dataflow.SimMode
-import repro.workloads.Pqp
+import repro.workloads.{Nexmark, Pqp}
 
 class EvaluationSpec extends AnyFunSuite {
 
@@ -25,12 +26,16 @@ class EvaluationSpec extends AnyFunSuite {
   }
 
   test("evaluate runs methods x workloads in parallel deterministically") {
-    val wl = Vector(Pqp.linear(5), Pqp.linear(6))
-    val methods = Seq("DS2" -> Evaluation.ds2Factory(SimMode.Flink))
+    val wl = Vector(Pqp.linear(5), Pqp.linear(6), Nexmark.q3)
+    val methods = Seq(
+      "DS2" -> Evaluation.ds2Factory(SimMode.Flink),
+      "ContTune" -> Evaluation.contTuneFactory(SimMode.Flink),
+      "StreamTune(SVM)" -> Evaluation.streamTuneFactory(TinyPretrain.pre, Evaluation.svmModel),
+    )
     val a = Evaluation.evaluate(wl, SimMode.Flink, methods, threads = 4)
     val b = Evaluation.evaluate(wl, SimMode.Flink, methods, threads = 1)
-    assert(a.toSet == b.toSet)
-    assert(a.size == 2)
+    assert(a == b)
+    assert(a.size == 9)
   }
 
   test("byGroup aggregates PQP templates: mean reconfigs, summed bp") {
