@@ -4,79 +4,144 @@ import repro.core.TuningSession
 import repro.dataflow._
 import repro.workloads.Workload
 
-/** Exact Gaussian-process regression in one dimension (parallelism ->
-  * processing ability), RBF kernel, zero prior mean. Small-n (<= ~30
-  * observations) direct Cholesky solve.
+/** Exact Gaussian-process regression over the integer parallelism grid
+  * 1..pMax (parallelism p sits at x = p / pMax; processing ability is the
+  * target), RBF kernel, zero prior mean. Small-n (<= ~30 observations)
+  * direct Cholesky solve (GPML Alg. 2.1).
+  *
+  * Every x is a grid point, so the kernel comes from one table per pMax,
+  * shared read-only by every instance in the JVM, and the posterior mean
+  * and sd at each p are computed at most once per fit. The arithmetic, and
+  * the order of every sum, is the one of a GP evaluated at arbitrary x.
   */
-final class Gp(noiseSd: Double = 0.05) {
-  private val lengthScale = 0.15
+final class Gp(val pMax: Int) {
+  private val kt = Gp.kernelTable(pMax)
+  private val stride = pMax + 1
 
-  private var xs: Array[Double] = Array.empty
-  private var ys: Array[Double] = Array.empty
-  private var chol: Array[Array[Double]] = _
-  private var alpha: Array[Double] = _
+  private var n = 0
+  private var ps = new Array[Int](0)
+  private var chol = new Array[Double](0) // n x n, row-major, lower triangle
+  private var alpha = new Array[Double](0)
+  private var v = new Array[Double](0)
+  private val meanAt = new Array[Double](stride)
+  private val sdAt = new Array[Double](stride)
+  private val meanKnown = new Array[Boolean](stride)
+  private val sdKnown = new Array[Boolean](stride)
+
+  /** Fits (p, y) observations, taken in iteration order; p must lie in
+    * 1..pMax.
+    */
+  def fit(points: IterableOnce[(Int, Double)]): Unit = {
+    val pts = points.iterator.toArray
+    pts.foreach { case (p, _) => require(p >= 1 && p <= pMax, s"Gp.fit: parallelism $p outside 1..$pMax") }
+    n = pts.length
+    if (ps.length < n) {
+      ps = new Array[Int](n); chol = new Array[Double](n * n)
+      alpha = new Array[Double](n); v = new Array[Double](n)
+    }
+    var i = 0
+    while (i < n) { ps(i) = pts(i)._1; alpha(i) = pts(i)._2; i += 1 }
+    java.util.Arrays.fill(meanKnown, false)
+    java.util.Arrays.fill(sdKnown, false)
+    if (n > 0) { cholesky(); solveCholesky() }
+  }
+
+  /** Posterior mean at p; 0 with no data. */
+  def mean(p: Int): Double = {
+    if (!meanKnown(p)) { meanAt(p) = computeMean(p); meanKnown(p) = true }
+    meanAt(p)
+  }
+
+  /** Posterior sd at p; 1 with no data (maximal pessimism for a
+    * lower-confidence-bound user). Always > 0 or NaN.
+    */
+  def sd(p: Int): Double = {
+    if (!sdKnown(p)) { sdAt(p) = computeSd(p); sdKnown(p) = true }
+    sdAt(p)
+  }
+
+  private def computeMean(p: Int): Double = {
+    if (n == 0) return 0.0
+    val row = p * stride
+    var s = kt(row + ps(0)) * alpha(0)
+    var i = 1
+    while (i < n) { s += kt(row + ps(i)) * alpha(i); i += 1 }
+    s
+  }
+
+  private def computeSd(p: Int): Double = {
+    if (n == 0) return 1.0
+    val row = p * stride
+    var i = 0
+    while (i < n) { v(i) = kt(row + ps(i)); i += 1 }
+    solveLower(v)
+    var s = v(0) * v(0)
+    i = 1
+    while (i < n) { s += v(i) * v(i); i += 1 }
+    math.sqrt(math.max(1e-12, 1.0 - s))
+  }
+
+  private def cholesky(): Unit = {
+    val noiseVar = Gp.noiseSd * Gp.noiseSd
+    var i = 0
+    while (i < n) {
+      var j = 0
+      while (j <= i) {
+        var s = kt(ps(i) * stride + ps(j)) + (if (i == j) noiseVar else 0.0)
+        var t = 0
+        while (t < j) { s -= chol(i * n + t) * chol(j * n + t); t += 1 }
+        if (i == j) chol(i * n + i) = math.sqrt(math.max(1e-12, s))
+        else chol(i * n + j) = s / chol(j * n + j)
+        j += 1
+      }
+      i += 1
+    }
+  }
+
+  /** Solves L y = b in place (b holds y on return). */
+  private def solveLower(b: Array[Double]): Unit = {
+    var i = 0
+    while (i < n) {
+      var s = b(i)
+      var t = 0
+      while (t < i) { s -= chol(i * n + t) * b(t); t += 1 }
+      b(i) = s / chol(i * n + i)
+      i += 1
+    }
+  }
+
+  /** alpha = L^T \ (L \ y), in place over alpha (which holds y on entry). */
+  private def solveCholesky(): Unit = {
+    solveLower(alpha)
+    var i = n - 1
+    while (i >= 0) {
+      var s = alpha(i)
+      var t = i + 1
+      while (t < n) { s -= chol(t * n + i) * alpha(t); t += 1 }
+      alpha(i) = s / chol(i * n + i)
+      i -= 1
+    }
+  }
+}
+
+object Gp {
+  val noiseSd = 0.05
+  private val lengthScale = 0.15
 
   private def k(a: Double, b: Double): Double =
     math.exp(-(a - b) * (a - b) / (2 * lengthScale * lengthScale))
 
-  def fit(points: Seq[(Double, Double)]): Unit = {
-    xs = points.map(_._1).toArray
-    ys = points.map(_._2).toArray
-    val n = xs.length
-    if (n == 0) { chol = null; alpha = null; return }
-    val m = Array.tabulate(n, n) { (i, j) =>
-      k(xs(i), xs(j)) + (if (i == j) noiseSd * noiseSd else 0.0)
-    }
-    chol = cholesky(m)
-    alpha = solveCholesky(chol, ys)
-  }
+  private val tables = new java.util.concurrent.ConcurrentHashMap[Int, Array[Double]]()
 
-  /** Posterior (mean, sd) at x. With no data: (0, 1) — maximal pessimism
-    * for a lower-confidence-bound user.
+  /** k(a / pMax, b / pMax) at index a * (pMax + 1) + b, for a, b in
+    * 0..pMax; built once per pMax and never written after.
     */
-  def posterior(x: Double): (Double, Double) = {
-    if (alpha == null) return (0.0, 1.0)
-    val kx = xs.map(xi => k(x, xi))
-    val mean = kx.zip(alpha).map { case (a, b) => a * b }.sum
-    val v = solveLower(chol, kx)
-    val varPost = math.max(1e-12, 1.0 - v.map(t => t * t).sum)
-    (mean, math.sqrt(varPost))
-  }
-
-  private def cholesky(a: Array[Array[Double]]): Array[Array[Double]] = {
-    val n = a.length
-    val l = Array.ofDim[Double](n, n)
-    for (i <- 0 until n; j <- 0 to i) {
-      var s = a(i)(j)
-      for (t <- 0 until j) s -= l(i)(t) * l(j)(t)
-      if (i == j) l(i)(i) = math.sqrt(math.max(1e-12, s))
-      else l(i)(j) = s / l(j)(j)
-    }
-    l
-  }
-
-  private def solveLower(l: Array[Array[Double]], b: Array[Double]): Array[Double] = {
-    val n = b.length
-    val y = new Array[Double](n)
-    for (i <- 0 until n) {
-      var s = b(i)
-      for (t <- 0 until i) s -= l(i)(t) * y(t)
-      y(i) = s / l(i)(i)
-    }
-    y
-  }
-
-  private def solveCholesky(l: Array[Array[Double]], b: Array[Double]): Array[Double] = {
-    val n = b.length
-    val y = solveLower(l, b)
-    val x = new Array[Double](n)
-    for (i <- (n - 1) to 0 by -1) {
-      var s = y(i)
-      for (t <- i + 1 until n) s -= l(t)(i) * x(t)
-      x(i) = s / l(i)(i)
-    }
-    x
-  }
+  private def kernelTable(pMax: Int): Array[Double] =
+    tables.computeIfAbsent(pMax, { (m: Int) =>
+      val t = new Array[Double]((m + 1) * (m + 1))
+      for (a <- 0 to m; b <- 0 to m) t(a * (m + 1) + b) = k(a.toDouble / m, b.toDouble / m)
+      t
+    })
 }
 
 /** ContTune (Lian et al., VLDB'23): conservative Bayesian optimization over
@@ -92,8 +157,8 @@ final class Gp(noiseSd: Double = 0.05) {
   */
 final class ContTuneSession(workload: Workload, mode: SimMode)
     extends RateBasedSession(workload, mode) {
+  import ContTuneSession._
   override val methodName = "ContTune"
-  private val beta = 1.0 // confidence-bound width, in posterior sds
 
   // Per-operator local history: parallelism -> latest measured per-instance
   // processing rate. ContTune's surrogate is over processing ability *per
@@ -103,6 +168,8 @@ final class ContTuneSession(workload: Workload, mode: SimMode)
   private val history =
     scala.collection.mutable.Map(dag.ops.map(_.id -> scala.collection.mutable.Map.empty[Int, Double]): _*)
   private val maxObsPerOp = 30
+  // One surrogate, refitted per operator and recommendation.
+  private val gp = new Gp(pMax)
 
   override protected def observe(obs: RunResult): Unit =
     dag.ops.foreach { op =>
@@ -118,29 +185,18 @@ final class ContTuneSession(workload: Workload, mode: SimMode)
       perInstance: Double, allowProbe: Boolean): Int = {
     val h = history(opId)
     val yScale = math.max(1.0, if (h.isEmpty) perInstance else h.values.sum / h.size)
-    val gp = new Gp()
-    gp.fit(h.toSeq.map { case (p, y) => (p.toDouble / pMax, y / yScale) })
-    def post(p: Int) = gp.posterior(p.toDouble / pMax)
-    def lcbCapacity(p: Int): Double = {
-      val (mu, sd) = post(p); p * (mu - beta * sd) * yScale
-    }
-    val safe = (1 to pMax).find(lcbCapacity(_) >= req)
-    safe match {
-      case None =>
-        // Big step: conservatively above the naive rate-based estimate.
-        val naive = math.ceil(1.4 * req / perInstance).toInt
-        math.min(pMax, math.max(currentP + 1, math.max(1, naive)))
-      case Some(ps) =>
-        // Small step: probe below when the UCB is promising and the
-        // surrogate is still uncertain there — only while enough of the
-        // iteration budget remains to recover from a failed probe.
-        val probe =
-          if (!allowProbe) None
-          else (1 until ps).find { p =>
-            val (mu, sd) = post(p)
-            p * (mu + beta * sd) * yScale >= req && sd > 0.12
-          }
-        probe.filter(_ < ps - 1).getOrElse(ps)
+    gp.fit(h.iterator.map { case (p, y) => (p, y / yScale) })
+    val ps = safeP(gp, req, yScale)
+    if (ps == 0) {
+      // Big step: conservatively above the naive rate-based estimate.
+      val naive = math.ceil(1.4 * req / perInstance).toInt
+      math.min(pMax, math.max(currentP + 1, math.max(1, naive)))
+    } else {
+      // Small step: probe below when the UCB is promising and the
+      // surrogate is still uncertain there — only while enough of the
+      // iteration budget remains to recover from a failed probe.
+      val probe = if (allowProbe) probeP(gp, req, yScale, ps) else 0
+      if (probe > 0 && probe < ps - 1) probe else ps
     }
   }
 
@@ -160,4 +216,36 @@ final class ContTuneSession(workload: Workload, mode: SimMode)
   // whenever its recommendation changes), like Algorithm 2's test.
   override protected def settled(rec: Map[String, Int], par: Map[String, Int]): Boolean =
     rec == par
+}
+
+object ContTuneSession {
+  private val beta = 1.0 // confidence-bound width, in posterior sds
+
+  /** The smallest p whose lower confidence bound on capacity,
+    * p * (mean - beta * sd) * yScale, covers `req`; 0 if none. The mean is
+    * tested first, so the O(n^2) sd is paid only where the mean passes:
+    * sd > 0, so the bound never exceeds the mean's capacity under rounding,
+    * and a NaN fails both `>=` tests.
+    */
+  private[baselines] def safeP(gp: Gp, req: Double, yScale: Double): Int = {
+    var p = 1
+    while (p <= gp.pMax) {
+      if (p * gp.mean(p) * yScale >= req && p * (gp.mean(p) - beta * gp.sd(p)) * yScale >= req) return p
+      p += 1
+    }
+    0
+  }
+
+  /** The smallest p below `ps` whose upper confidence bound covers `req`
+    * while the surrogate is still uncertain there; 0 if none.
+    */
+  private[baselines] def probeP(gp: Gp, req: Double, yScale: Double, ps: Int): Int = {
+    var p = 1
+    while (p < ps) {
+      val sd = gp.sd(p)
+      if (p * (gp.mean(p) + beta * sd) * yScale >= req && sd > 0.12) return p
+      p += 1
+    }
+    0
+  }
 }

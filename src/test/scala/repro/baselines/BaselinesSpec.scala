@@ -1,39 +1,189 @@
 package repro.baselines
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.dataflow._
 import repro.harness.{Evaluation, WorkloadStats}
 import repro.workloads.{Nexmark, Pqp}
 
+/** The GP as it was before it moved onto the parallelism grid: arbitrary
+  * x, a kernel evaluation per pair, boxed tuples per posterior. The body is
+  * kept verbatim as the oracle the grid GP must match bit for bit.
+  */
+final class ReferenceGp(noiseSd: Double = 0.05) {
+  private val lengthScale = 0.15
+
+  private var xs: Array[Double] = Array.empty
+  private var ys: Array[Double] = Array.empty
+  private var chol: Array[Array[Double]] = _
+  private var alpha: Array[Double] = _
+
+  private def k(a: Double, b: Double): Double =
+    math.exp(-(a - b) * (a - b) / (2 * lengthScale * lengthScale))
+
+  def fit(points: Seq[(Double, Double)]): Unit = {
+    xs = points.map(_._1).toArray
+    ys = points.map(_._2).toArray
+    val n = xs.length
+    if (n == 0) { chol = null; alpha = null; return }
+    val m = Array.tabulate(n, n) { (i, j) =>
+      k(xs(i), xs(j)) + (if (i == j) noiseSd * noiseSd else 0.0)
+    }
+    chol = cholesky(m)
+    alpha = solveCholesky(chol, ys)
+  }
+
+  def posterior(x: Double): (Double, Double) = {
+    if (alpha == null) return (0.0, 1.0)
+    val kx = xs.map(xi => k(x, xi))
+    val mean = kx.zip(alpha).map { case (a, b) => a * b }.sum
+    val v = solveLower(chol, kx)
+    val varPost = math.max(1e-12, 1.0 - v.map(t => t * t).sum)
+    (mean, math.sqrt(varPost))
+  }
+
+  private def cholesky(a: Array[Array[Double]]): Array[Array[Double]] = {
+    val n = a.length
+    val l = Array.ofDim[Double](n, n)
+    for (i <- 0 until n; j <- 0 to i) {
+      var s = a(i)(j)
+      for (t <- 0 until j) s -= l(i)(t) * l(j)(t)
+      if (i == j) l(i)(i) = math.sqrt(math.max(1e-12, s))
+      else l(i)(j) = s / l(j)(j)
+    }
+    l
+  }
+
+  private def solveLower(l: Array[Array[Double]], b: Array[Double]): Array[Double] = {
+    val n = b.length
+    val y = new Array[Double](n)
+    for (i <- 0 until n) {
+      var s = b(i)
+      for (t <- 0 until i) s -= l(i)(t) * y(t)
+      y(i) = s / l(i)(i)
+    }
+    y
+  }
+
+  private def solveCholesky(l: Array[Array[Double]], b: Array[Double]): Array[Double] = {
+    val n = b.length
+    val y = solveLower(l, b)
+    val x = new Array[Double](n)
+    for (i <- (n - 1) to 0 by -1) {
+      var s = y(i)
+      for (t <- i + 1 until n) s -= l(t)(i) * x(t)
+      x(i) = s / l(i)(i)
+    }
+    x
+  }
+}
+
 class GpSpec extends AnyFunSuite {
+  import java.lang.Double.doubleToLongBits
 
   test("posterior interpolates observations (noise-limited)") {
-    val gp = new Gp(noiseSd = 0.01)
-    gp.fit(Seq(0.1 -> 0.2, 0.5 -> 1.0, 0.9 -> 1.8))
-    val (mu, sd) = gp.posterior(0.5)
-    assert(math.abs(mu - 1.0) < 0.05)
-    assert(sd < 0.1)
+    val gp = new Gp(pMax = 100)
+    gp.fit(Seq(10 -> 0.2, 50 -> 1.0, 90 -> 1.8))
+    assert(math.abs(gp.mean(50) - 1.0) < 0.05)
+    assert(gp.sd(50) < 0.1)
   }
 
   test("posterior reverts to the pessimistic prior far from data") {
-    val gp = new Gp()
-    gp.fit(Seq(0.9 -> 1.0))
-    val (muFar, sdFar) = gp.posterior(0.05)
-    assert(math.abs(muFar) < 0.1) // zero prior mean
-    assert(sdFar > 0.8)           // near-prior uncertainty
+    val gp = new Gp(pMax = 100)
+    gp.fit(Seq(90 -> 1.0))
+    assert(math.abs(gp.mean(5)) < 0.1) // zero prior mean
+    assert(gp.sd(5) > 0.8)             // near-prior uncertainty
   }
 
   test("no data means (0, 1): maximal pessimism for an LCB user") {
-    val gp = new Gp()
+    val gp = new Gp(pMax = 100)
     gp.fit(Seq.empty)
-    assert(gp.posterior(0.3) == ((0.0, 1.0)))
+    assert(gp.mean(30) == 0.0 && gp.sd(30) == 1.0)
   }
 
   test("uncertainty shrinks near observations as data accumulates") {
-    val gp1 = new Gp(); gp1.fit(Seq(0.5 -> 1.0))
-    val gp2 = new Gp(); gp2.fit(Seq(0.45 -> 0.95, 0.5 -> 1.0, 0.55 -> 1.05))
-    assert(gp2.posterior(0.5)._2 <= gp1.posterior(0.5)._2 + 1e-9)
+    val gp1 = new Gp(pMax = 100); gp1.fit(Seq(50 -> 1.0))
+    val gp2 = new Gp(pMax = 100); gp2.fit(Seq(45 -> 0.95, 50 -> 1.0, 55 -> 1.05))
+    assert(gp2.sd(50) <= gp1.sd(50) + 1e-9)
+  }
+
+  /** Fits `gp` and the reference to the same history, built as ContTune
+    * builds it, and compares the posterior at every p and the safe and
+    * probe scans against full scans of the reference for each required rate:
+    * `reqs` in units of `yScale`, and for each (p, side) in `ties` the
+    * reference's lower (-1), mean (0) or upper (1) capacity bound at p.
+    */
+  private def agrees(gp: Gp, points: Seq[(Int, Double)], yScale: Double, reqs: Seq[Double],
+      ties: Seq[(Int, Int)]): Boolean = {
+    val pMax = gp.pMax
+    val h = scala.collection.mutable.Map.empty[Int, Double]
+    points.foreach { case (p, y) => h(p) = y * yScale }
+    val ref = new ReferenceGp()
+    ref.fit(h.toSeq.map { case (p, y) => (p.toDouble / pMax, y / yScale) })
+    gp.fit(h.iterator.map { case (p, y) => (p, y / yScale) })
+    def post(p: Int) = ref.posterior(p.toDouble / pMax)
+    val tieReqs = ties.map { case (p, side) => val (mu, sd) = post(p); p * (mu + side * sd) * yScale }
+    val scans = (reqs.map(_ * yScale) ++ tieReqs).forall { req =>
+      val wantSafe = (1 to pMax).find { p => val (mu, sd) = post(p); p * (mu - sd) * yScale >= req }
+      val safe = ContTuneSession.safeP(gp, req, yScale)
+      safe == wantSafe.getOrElse(0) && (safe == 0 || {
+        val wantProbe = (1 until safe).find { p =>
+          val (mu, sd) = post(p); p * (mu + sd) * yScale >= req && sd > 0.12
+        }
+        ContTuneSession.probeP(gp, req, yScale, safe) == wantProbe.getOrElse(0)
+      })
+    }
+    val posteriors = (1 to pMax).forall { p =>
+      val (mu, sd) = post(p)
+      doubleToLongBits(gp.mean(p)) == doubleToLongBits(mu) && doubleToLongBits(gp.sd(p)) == doubleToLongBits(sd)
+    }
+    scans && posteriors
+  }
+
+  test("grid GP and its safe and probe scans match the reference GP bit for bit") {
+    // Histories of 0-30 distinct grid points, inserted into a map in the
+    // generated order (so the map's iteration order varies), values around
+    // ContTune's O(1) scale with exact zeros of both signs. One grid GP per
+    // pMax serves every case, so its buffers and memo are reused across
+    // fits of growing and shrinking size.
+    val genY = Gen.frequency(20 -> Gen.choose(0.0, 3.0), 1 -> Gen.const(0.0), 1 -> Gen.const(-0.0),
+      1 -> Gen.choose(-1.0, 0.0))
+    def genCase(pMax: Int): Gen[(Seq[(Int, Double)], Double, Seq[Double], Seq[(Int, Int)])] =
+      for {
+        n      <- Gen.choose(0, 30)
+        ps     <- Gen.pick(n, 1 to pMax)
+        order  <- Gen.listOfN(n, Gen.choose(0.0, 1.0))
+        ys     <- Gen.listOfN(n, genY)
+        yScale <- Gen.oneOf(Gen.const(1.0), Gen.choose(1.0, 5000.0))
+        reqs   <- Gen.listOfN(6, Gen.frequency(10 -> Gen.choose(0.0, 2.0 * pMax), 1 -> Gen.const(0.0),
+          1 -> Gen.const(Double.NaN)))
+        ties   <- Gen.listOfN(6, Gen.zip(Gen.choose(1, pMax), Gen.oneOf(-1, 0, 1)))
+      } yield (ps.toSeq.zip(order).sortBy(_._2).map(_._1).zip(ys), yScale, reqs, ties)
+    // In the fixed cases every product in the mean is a zero of either
+    // sign, which pins the sign of an all-zero sum.
+    val signedZeros = Seq(Seq(7 -> -0.0), Seq(7 -> -0.0, 20 -> -0.0), Seq(7 -> 0.0, 20 -> -0.0))
+    for (pMax <- Seq(40, 100)) {
+      val gp = new Gp(pMax)
+      signedZeros.foreach(points => assert(agrees(gp, points, 1.0, Seq(0.0, 1.0), Nil), s"pMax=$pMax: $points"))
+      val prop = Prop.forAll(genCase(pMax)) { case (points, yScale, reqs, ties) =>
+        agrees(gp, points, yScale, reqs, ties)
+      }
+      val result = org.scalacheck.Test.check(
+        org.scalacheck.Test.Parameters.default.withMinSuccessfulTests(200), prop)
+      assert(result.passed, s"pMax=$pMax: ${org.scalacheck.util.Pretty.pretty(result)}")
+    }
+  }
+
+  test("grid GP rejects parallelism outside 1..pMax") {
+    val gp = new Gp(pMax = 40)
+    gp.fit(Seq(3 -> 1.0))
+    val e = intercept[IllegalArgumentException](gp.fit(Seq(3 -> 2.0, 41 -> 1.0)))
+    assert(e.getMessage.contains("41"), e.getMessage)
+    // The rejected fit leaves the previous one in place.
+    val fresh = new Gp(pMax = 40)
+    fresh.fit(Seq(3 -> 1.0))
+    assert(gp.mean(10) == fresh.mean(10) && gp.sd(10) == fresh.sd(10))
   }
 }
 
@@ -143,6 +293,31 @@ class BaselinesSpec extends AnyFunSuite {
       (name, mk) <- Seq("DS2" -> Evaluation.ds2Factory(SimMode.Flink),
         "ContTune" -> Evaluation.contTuneFactory(SimMode.Flink))
     } yield Evaluation.runOne(w, SimMode.Flink, name, mk)
+    assert(actual == expected)
+  }
+
+  test("DS2 and ContTune decisions over the full rate pattern are pinned (Timely)") {
+    // Timely's jobs (Q3, Q5, Q8; the PQP templates have no Timely rates),
+    // on ContTune's pMax 40 grid. Exact figures of the reference run.
+    val expected = Seq(
+      WorkloadStats("DS2", "Q3", "Q3", "Timely", 120, 249, 2.075, 0, 23.0,
+        0.25472633782782655, 0.2673245223206638, 0.2685607609775883),
+      WorkloadStats("ContTune", "Q3", "Q3", "Timely", 120, 204, 1.7, 0, 22.0,
+        0.2535580797170574, 0.266098484824613, 0.267329053687632),
+      WorkloadStats("DS2", "Q5", "Q5", "Timely", 120, 360, 3.0, 0, 48.0,
+        0.2554568631564596, 0.2667916372414078, 0.26802055537852404),
+      WorkloadStats("ContTune", "Q5", "Q5", "Timely", 120, 243, 2.025, 0, 48.0,
+        0.2554568631564596, 0.2667916372414078, 0.26802055537852404),
+      WorkloadStats("DS2", "Q8", "Q8", "Timely", 120, 371, 3.091666666666667, 0, 41.0,
+        0.2589886412441502, 0.26864995065283326, 0.2692833380867519),
+      WorkloadStats("ContTune", "Q8", "Q8", "Timely", 120, 272, 2.2666666666666666, 0, 48.0,
+        0.25722300704882123, 0.26681845125900877, 0.26744752062512783),
+    )
+    val actual = for {
+      w <- Seq(Nexmark.q3, Nexmark.q5, Nexmark.q8)
+      (name, mk) <- Seq("DS2" -> Evaluation.ds2Factory(SimMode.Timely),
+        "ContTune" -> Evaluation.contTuneFactory(SimMode.Timely))
+    } yield Evaluation.runOne(w, SimMode.Timely, name, mk)
     assert(actual == expected)
   }
 }

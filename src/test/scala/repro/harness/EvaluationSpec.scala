@@ -1,7 +1,7 @@
 package repro.harness
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.TinyPretrain
+import repro.core.{Pretrain, TinyPretrain}
 import repro.dataflow.SimMode
 import repro.workloads.{Nexmark, Pqp}
 
@@ -27,15 +27,17 @@ class EvaluationSpec extends AnyFunSuite {
 
   test("evaluate runs methods x workloads in parallel deterministically") {
     val wl = Vector(Pqp.linear(5), Pqp.linear(6), Nexmark.q3)
+    val zeroTune = Pretrain.pretrainZeroTune(TinyPretrain.workloads, SimMode.Flink, runsPer = 8, epochs = 3)
     val methods = Seq(
       "DS2" -> Evaluation.ds2Factory(SimMode.Flink),
       "ContTune" -> Evaluation.contTuneFactory(SimMode.Flink),
       "StreamTune(SVM)" -> Evaluation.streamTuneFactory(TinyPretrain.pre, Evaluation.svmModel),
+      "ZeroTune" -> Evaluation.zeroTuneFactory(zeroTune, SimMode.Flink),
     )
     val a = Evaluation.evaluate(wl, SimMode.Flink, methods, threads = 4)
     val b = Evaluation.evaluate(wl, SimMode.Flink, methods, threads = 1)
     assert(a == b)
-    assert(a.size == 9)
+    assert(a.size == 12)
   }
 
   test("byGroup aggregates PQP templates: mean reconfigs, summed bp") {
