@@ -35,6 +35,9 @@ class AblationBench extends AnyFunSuite {
 /** Fig. 11b — similarity-center computation: direct GED vs AStar+-LSa. */
 class GedTimingBench extends AnyFunSuite {
   test("Fig 11b: similarity-center time, direct vs A*-LSa") {
+    // An untimed 40-DAG pass first, so the first timed row does not time
+    // JIT compilation of the GED search.
+    PaperTables.gedTiming(Seq(40))
     val rows = PaperTables.gedTiming()
     println(PaperTables.formatGedTiming(rows))
     // LSa wins, and its advantage grows with the population (paper: 99.65%
@@ -58,16 +61,22 @@ class OverheadBench extends AnyFunSuite {
       "ContTune" -> Evaluation.contTuneFactory(SimMode.Flink),
       "StreamTune" -> Evaluation.streamTuneFactory(BenchData.pretrained, Evaluation.svmModel),
     )
-    println(f"${"method"}%-12s${"query"}%-16s${"ms/process"}%12s")
-    for (wl <- wls; (name, mk) <- methods) {
-      val session = mk(wl)
+    val n = 30
+    def run(session: TuningSession, wl: repro.workloads.Workload): Unit = {
       var cur = TuningSession.initialConfig(wl)
-      val t0 = System.nanoTime()
-      val n = 30
       (0 until n).foreach { i =>
         val m = 1 + (i * 7) % 10
         cur = session.tuneProcess(m.toDouble, cur).parallelisms
       }
+    }
+    println(f"${"method"}%-12s${"query"}%-16s${"ms/process"}%12s")
+    for (wl <- wls; (name, mk) <- methods) {
+      // An untimed pass on its own session first, so the timed one does not
+      // time JIT compilation (the first job timed in the JVM would).
+      run(mk(wl), wl)
+      val session = mk(wl)
+      val t0 = System.nanoTime()
+      run(session, wl)
       val ms = (System.nanoTime() - t0) / 1e6 / n
       println(f"$name%-12s${wl.key}%-16s$ms%12.2f")
       assert(ms < 5000, s"$name absurdly slow")

@@ -57,25 +57,46 @@ object FineTuneModel {
   * construction for every h.
   *
   * `fit` orders the support set by p once, with a stable counting sort, in
-  * O(n + max p), and invalidates the per-embedding threshold cache. A
-  * threshold is then one O(n·d) pass over the p-ordered rows: distances with
-  * the k-th smallest kept in a k-slot buffer, kernel weights, and the cut
-  * sweep, all in reused primitive buffers.
+  * O(n + max p), and gives every distinct support array (by identity) a
+  * point id that stays the same across refits. Each query array keeps one
+  * record: its threshold at the latest fit, and its squared distance to
+  * every point id it has met. A distance is computed once per (query,
+  * point) pair, so after a query's first threshold a refit costs it only
+  * the distances to new points, and each threshold is one O(n) pass: the
+  * k-th smallest distance from a k-slot buffer, kernel weights, and the
+  * cut sweep, in reused primitive buffers. A weight whose exponent is
+  * beyond -746 is stored as 0.0 without calling `exp`, which returns
+  * exactly 0.0 there, so every weight is the same double either way.
+  * Embedding arrays are taken to be immutable, as the identity keys
+  * require. The records are dropped and the points renumbered when they
+  * would hold more than `memoBudget` distances (8 MB).
   */
 final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
+  import MonotonicSvm._
   override val name = "SVM"
   override val monotonic = true
   private val kNeighbors = 16
   private val sharpness  = 60.0 // logistic slope per log10-parallelism unit
 
-  // The support set, ordered by p (ties in input order).
+  // The support set, ordered by p (ties in input order), with each row's
+  // point id.
   private var hs: Array[Array[Double]] = Array.empty
   private var ps: Array[Int] = Array.empty
   private var positive: Array[Boolean] = Array.empty
+  private var ids: Array[Int] = Array.empty
+  private var fits = 0
+  // The previous fit's rows in input order, with their point ids: a refit
+  // on the same rows plus appended ones, as a session's history grows,
+  // finds each kept row's id without a hash lookup.
+  private var lastRows: Array[TrainRow] = Array.empty
+  private var lastIds: Array[Int] = Array.empty
+  // Point ids of the support arrays met since the last renumbering.
+  private val pointIds = new java.util.IdentityHashMap[Array[Double], Integer]()
+  private val queries = new java.util.IdentityHashMap[Array[Double], Query]()
+  private var memoSize = 0L // distances held by all query records
   // Per-threshold scratch: squared distances, then kernel weights in place.
   private var weights: Array[Double] = Array.empty
   private val nearest = new Array[Double](kNeighbors)
-  private val cache = new java.util.IdentityHashMap[Array[Double], java.lang.Double]()
 
   override def fit(data: IndexedSeq[TrainRow]): Unit = {
     val n = data.length
@@ -96,32 +117,76 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     hs = new Array[Array[Double]](n)
     ps = new Array[Int](n)
     positive = new Array[Boolean](n)
+    ids = new Array[Int](n)
+    val rows = new Array[TrainRow](n)
+    val rowIds = new Array[Int](n)
     i = 0
     while (i < n) {
       val r = data(i)
+      val id = if (i < lastRows.length && (lastRows(i) eq r)) lastIds(i) else pointId(r.h)
       val at = start(r.p)
       start(r.p) = at + 1
       hs(at) = r.h
       ps(at) = r.p
       positive(at) = r.label == 1
+      ids(at) = id
+      rows(i) = r
+      rowIds(i) = id
       i += 1
     }
+    lastRows = rows
+    lastIds = rowIds
     if (weights.length < n) weights = new Array[Double](n)
-    cache.clear()
+    fits += 1
+  }
+
+  private def pointId(h: Array[Double]): Int = {
+    val known = pointIds.get(h)
+    if (known != null) known.intValue()
+    else { val id = pointIds.size; pointIds.put(h, id); id }
+  }
+
+  /** Drops every query record and numbers the current support arrays from 0. */
+  private def renumber(): Unit = {
+    queries.clear()
+    memoSize = 0
+    pointIds.clear()
+    lastRows = Array.empty
+    var i = 0
+    while (i < hs.length) { ids(i) = pointId(hs(i)); i += 1 }
+  }
+
+  /** The record of query `h`, its distances covering every point id. */
+  private def record(h: Array[Double]): Query = {
+    val q = queries.get(h)
+    val have = if (q == null) 0 else q.dist.length
+    val need = pointIds.size
+    if (q != null && have >= need) return q
+    val size = need + memoGrowth
+    if (memoSize > 0 && memoSize + size - have > memoBudget) {
+      renumber()
+      return record(h)
+    }
+    val dist = if (q == null) new Array[Double](size) else java.util.Arrays.copyOf(q.dist, size)
+    java.util.Arrays.fill(dist, have, size, unknown)
+    memoSize += size - have
+    if (q == null) { val fresh = new Query(dist); queries.put(h, fresh); fresh }
+    else { q.dist = dist; q }
   }
 
   /** The monotone cut t(h) in pNorm (log10 p) units: predicted bottleneck
     * iff pNorm(p) < t(h).
     */
   def threshold(h: Array[Double]): Double = {
-    val cached = cache.get(h)
-    if (cached != null) return cached.doubleValue()
-    val t = computeThreshold(h)
-    cache.put(h, t)
-    t
+    val q = record(h)
+    if (q.fit != fits) {
+      q.t = computeThreshold(h, q.dist)
+      q.fit = fits
+    }
+    q.t
   }
 
-  private def computeThreshold(h: Array[Double]): Double = {
+  private def computeThreshold(h: Array[Double], dist: Array[Double]): Double = {
     val n = ps.length
     if (n == 0) return -0.5
     val w = weights
@@ -132,8 +197,13 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     var kept = 0
     var i = 0
     while (i < n) {
-      var s = 0.0; val hi = hs(i); var j = 0
-      while (j < embedDim) { val d = h(j) - hi(j); s += d * d; j += 1 }
+      val id = ids(i)
+      var s = dist(id)
+      if (s == unknown) {
+        s = 0.0; val hi = hs(i); var j = 0
+        while (j < embedDim) { val d = h(j) - hi(j); s += d * d; j += 1 }
+        dist(id) = s
+      }
       w(i) = s
       val keep = if (kept < k) !java.lang.Double.isNaN(s) else s < nearest(k - 1)
       if (keep) {
@@ -146,11 +216,12 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     }
     val sigma2 = math.max(1e-9, if (kept == k) nearest(k - 1) else Double.NaN)
     // Kernel weights, and the weighted error of the cut t = -inf: every
-    // positive row misclassified.
+    // positive row misclassified. exp(-x) is exactly 0.0 for x > 746.
     var err = 0.0
     i = 0
     while (i < n) {
-      w(i) = math.exp(-w(i) / (2.0 * sigma2))
+      val x = w(i) / (2.0 * sigma2)
+      w(i) = if (x > 746.0) 0.0 else math.exp(-x)
       if (positive(i)) err += w(i)
       i += 1
     }
@@ -181,6 +252,23 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   override def bottleneckProb(h: Array[Double], p: Int): Double = {
     val t = threshold(h)
     1.0 / (1.0 + math.exp(-sharpness * (t - Features.pNorm(p))))
+  }
+}
+
+object MonotonicSvm {
+  /** Most squared distances the query records of one model hold (8 MB). */
+  val memoBudget: Long = 1L << 20
+  /** Slots a query record grows by beyond the current point count. */
+  private val memoGrowth = 256
+  /** Marks a distance not yet computed; squared distances are >= 0 or NaN. */
+  private val unknown = -1.0
+
+  /** One query embedding: its squared distance to each point id, and its
+    * threshold as of fit number `fit`.
+    */
+  private final class Query(var dist: Array[Double]) {
+    var fit = -1
+    var t = 0.0
   }
 }
 

@@ -240,6 +240,55 @@ class MonotonicSpec extends AnyFunSuite {
     }
   }
 
+  test("SVM thresholds match the reference across refits that share, drop and renumber points") {
+    // A session-shaped history: warm-up rows, then feedback rows appended
+    // after every refit on the queried arrays and on earlier rows' arrays,
+    // fitted through the session's cap (the most recent rows plus earlier
+    // positives). The pool holds NaN embeddings and duplicates both by
+    // identity (one array in many rows) and by content (equal copies).
+    val rng = new scala.util.Random(11)
+    val nan = Array.fill(dim)(Double.NaN)
+    def label(hv: Array[Double], p: Int): Int = if (p < 5 + 40 * hv(0)) 1 else 0
+    def row(hv: Array[Double]): TrainRow = { val p = 1 + rng.nextInt(99); TrainRow(hv, p, label(hv, p)) }
+    val warm = (0 until 2000).map(i => if (i % 400 == 7) nan.clone() else h(20000 + i))
+    val copies = (0 until 50).map(i => warm(i * 3).clone())
+    val tData = scala.collection.mutable.ArrayBuffer[TrainRow]()
+    tData ++= (warm ++ copies).map(row)
+    val fitCap = 2400
+    def fitRows: IndexedSeq[TrainRow] =
+      if (tData.size <= fitCap) tData.toIndexedSeq
+      else {
+        val recent = tData.takeRight(fitCap * 3 / 4)
+        val earlierPos = tData.dropRight(fitCap * 3 / 4).filter(_.label == 1).takeRight(fitCap / 4)
+        (earlierPos ++ recent).toIndexedSeq
+      }
+    val kept = (0 until 20).map(i => h(30000 + i)) ++ Seq(warm(0), warm(7), copies(0), nan)
+    val m = new MonotonicSvm(dim)
+    var queried = 0L
+    for (step <- 0 until 8) {
+      val data = fitRows
+      m.fit(data)
+      val queries = kept ++ (0 until 100).map(i => h(40000 + step * 1000 + i))
+      queried += queries.size
+      val want = queries.map(q => java.lang.Double.doubleToLongBits(referenceThreshold(data.toArray, dim, q)))
+      assert(thresholdBits(m, queries) == want, s"step $step, ${data.size} rows")
+      // Asked again before the next refit, the records answer the same.
+      assert(thresholdBits(m, queries.reverse) == want.reverse, s"step $step, repeated")
+      tData ++= (0 until 200).map(i => row(if (i % 2 == 0) queries(i % queries.size) else tData(rng.nextInt(tData.size)).h))
+    }
+    assert(tData.size > fitCap + 1000, "the cap must drop rows")
+    // Every query record spans at least the warm-up's distinct arrays plus
+    // the growth slack, so the records cross the budget at least once.
+    assert(queried * (warm.size + copies.size + 256) > 2 * MonotonicSvm.memoBudget)
+  }
+
+  test("exp(-x) is exactly +0.0 beyond 746, the SVM's kernel-weight cut-off") {
+    val fine = (0 to 20000).map(i => 746.0 + i * 0.005)
+    val coarse = Iterator.iterate(756.0)(_ * 1.01).takeWhile(_ <= 1e300).toSeq
+    for (x <- fine ++ coarse ++ Seq(1e300, Double.MaxValue, Double.PositiveInfinity))
+      assert(java.lang.Double.doubleToLongBits(math.exp(-x)) == 0L, s"exp(-$x) = ${math.exp(-x)}")
+  }
+
   test("SVM fit rejects parallelism below 1, naming the row") {
     val m = new MonotonicSvm(dim)
     val good = rows(100)
