@@ -45,14 +45,14 @@ object Clustering {
       graphs: IndexedSeq[LabeledGraph],
       k: Int,
       tau: Double = 5.0,
-      maxIter: Int = 10,
       seed: Long = 3,
-  ): Result = kmeansWith(graphs, k, maxIter, seed, new Verdicts(graphs, tau))
+  ): Result = kmeansWith(graphs, k, seed, new Verdicts(graphs, tau))
+
+  private val maxIter = 10
 
   private def kmeansWith(
       graphs: IndexedSeq[LabeledGraph],
       k: Int,
-      maxIter: Int,
       seed: Long,
       verdicts: Verdicts,
   ): Result = {
@@ -104,7 +104,7 @@ object Clustering {
     require(ks.nonEmpty, "no valid k in range")
     if (ks.size <= 2) return ks.head
     val verdicts = new Verdicts(graphs, tau)
-    val wcss = ks.map(k => kmeansWith(graphs, k, maxIter = 10, seed, verdicts).wcss)
+    val wcss = ks.map(k => kmeansWith(graphs, k, seed, verdicts).wcss)
     val bends = (1 until ks.size - 1).map { i =>
       (wcss(i - 1) - wcss(i)) - (wcss(i) - wcss(i + 1))
     }

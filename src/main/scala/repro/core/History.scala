@@ -75,7 +75,6 @@ object History {
   def labelWithSpark(
       metrics: DataFrame,
       edges: DataFrame,
-      threshold: Double = SimConstants.cpuThreshold,
   ): DataFrame = {
     val m = metrics.alias("m")
     val e = edges.alias("e")
@@ -115,7 +114,7 @@ object History {
         "left_outer")
       .withColumn("sqlLabel",
         when(!col("jobBackpressure"), lit(0))
-          .when(col("x_op").isNotNull && col("utilization") > threshold, lit(1))
+          .when(col("x_op").isNotNull && col("utilization") > SimConstants.cpuThreshold, lit(1))
           .when(col("x_op").isNotNull, lit(0))
           .otherwise(lit(-1)))
       .drop("x_job", "x_run", "x_op")

@@ -93,7 +93,8 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   // Point ids of the support arrays met since the last renumbering.
   private val pointIds = new java.util.IdentityHashMap[Array[Double], Integer]()
   private val queries = new java.util.IdentityHashMap[Array[Double], Query]()
-  private var memoSize = 0L // distances held by all query records
+  private var held = 0L // distances held by all query records
+  private[core] def memoSize: Long = held
   // Per-threshold scratch: squared distances, then kernel weights in place.
   private var weights: Array[Double] = Array.empty
   private val nearest = new Array[Double](kNeighbors)
@@ -149,7 +150,7 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   /** Drops every query record and numbers the current support arrays from 0. */
   private def renumber(): Unit = {
     queries.clear()
-    memoSize = 0
+    held = 0
     pointIds.clear()
     lastRows = Array.empty
     var i = 0
@@ -163,13 +164,13 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     val need = pointIds.size
     if (q != null && have >= need) return q
     val size = need + memoGrowth
-    if (memoSize > 0 && memoSize + size - have > memoBudget) {
+    if (held > 0 && held + size - have > memoBudget) {
       renumber()
       return record(h)
     }
     val dist = if (q == null) new Array[Double](size) else java.util.Arrays.copyOf(q.dist, size)
     java.util.Arrays.fill(dist, have, size, unknown)
-    memoSize += size - have
+    held += size - have
     if (q == null) { val fresh = new Query(dist); queries.put(h, fresh); fresh }
     else { q.dist = dist; q }
   }

@@ -158,29 +158,27 @@ object Pretrain {
       runsPer: Int = 40,
       k: Int = 0,
       epochs: Int = 25,
-      hidden: Int = 24,
-      layers: Int = 5,
-      tau: Double = 5.0,
       seed: Long = 17,
   ): Pretrained = {
     val histories = generateHistories(workloads, mode, runsPer, seed)
 
-    // Cluster the distinct DAG structures.
-    val distinctDags = workloads.map(_.dag).toVector
-    val graphs = distinctDags.map(LabeledGraph.from)
+    // Cluster every workload's DAG, one graph per workload: workloads that
+    // share a structure enter the elbow and K-means as separate graphs.
+    val workloadDags = workloads.map(_.dag).toVector
+    val graphs = workloadDags.map(LabeledGraph.from)
     val kUse =
       if (k > 0) k
       else if (graphs.size <= 3) 1
-      else Clustering.elbowK(graphs, 2 to math.min(7, graphs.size - 1), tau, seed)
-    val km = Clustering.kmeans(graphs, kUse, tau, seed = seed)
+      else Clustering.elbowK(graphs, 2 to math.min(7, graphs.size - 1), seed = seed)
+    val km = Clustering.kmeans(graphs, kUse, seed = seed)
 
     val byDagName = histories.groupBy(_.run.dag.name)
     val members = (0 until kUse).toVector.map(c => graphs.indices.filter(km.assignment(_) == c))
-    val clusterHists = members.map(_.toVector.flatMap(i => byDagName.getOrElse(distinctDags(i).name, Vector.empty)))
+    val clusterHists = members.map(_.toVector.flatMap(i => byDagName.getOrElse(workloadDags(i).name, Vector.empty)))
     val samples = clusterHists.map(_.map(toSample).filter(_.labels.exists(_ >= 0)))
     val encoders = (0 until kUse).toVector.map { c =>
       new GnnEncoder(
-        inputDim = Features.dim, hidden = hidden, layers = layers,
+        inputDim = Features.dim, hidden = 24, layers = 5,
         objective = Gnn.BottleneckClassification, seed = DetRandom.mix(seed, "enc", c),
       )
     }
@@ -190,7 +188,7 @@ object Pretrain {
     val order = (0 until kUse).filter(samples(_).nonEmpty).sortBy(c => -samples(c).size)
     Workers.map(order, Runtime.getRuntime.availableProcessors())(c => encoders(c).train(samples(c), epochs))
     val clusters = (0 until kUse).toVector.map { c =>
-      ClusterModel(c, graphs(km.centers(c)), members(c).map(distinctDags(_).name).toSet, encoders(c), clusterHists(c))
+      ClusterModel(c, graphs(km.centers(c)), members(c).map(workloadDags(_).name).toSet, encoders(c), clusterHists(c))
     }
     Pretrained(mode, clusters)
   }
@@ -204,13 +202,11 @@ object Pretrain {
       mode: SimMode,
       runsPer: Int = 40,
       epochs: Int = 120,
-      hidden: Int = 16,
-      layers: Int = 4,
-      seed: Long = 23,
   ): GnnEncoder = {
+    val seed = 23L
     val histories = generateHistories(workloads, mode, runsPer, seed)
     val enc = new GnnEncoder(
-      inputDim = Features.dim, hidden = hidden, layers = layers,
+      inputDim = Features.dim, hidden = 16, layers = 4,
       objective = Gnn.JobCostRegression, seed = DetRandom.mix(seed, "zt"),
     )
     enc.train(histories.map(toSample), epochs)

@@ -61,6 +61,9 @@ object TuningSession {
   * model was wrong — and on a light periodic cadence otherwise, rather than
   * unconditionally on every iteration; with exclusively-negative feedback a
   * refit is a no-op on the decision boundary but not on the CPU budget.
+  *
+  * The guard `bracket` and the rescue deploy are additions to the paper
+  * (DESIGN.md "Deviations").
   */
 final class StreamTuneSession(
     pretrained: Pretrained,
@@ -73,27 +76,30 @@ final class StreamTuneSession(
   private val fitCap     = 9000 // most rows M_f is fitted on
   private val mode = pretrained.mode
   private val pMax = TuningSession.maxParallelism(mode)
-  val cluster: ClusterModel = pretrained.assign(workload.dag)
+  private val dag  = workload.dag
+  private val topo = dag.topoOrder.map(id => dag.ops.indexWhere(_.id == id))
+  val cluster: ClusterModel = pretrained.assign(dag)
   private val tData = ArrayBuffer[TrainRow]()
   tData ++= cluster.defaultWarmUpRows
   model.fit(fitRows)
-  private var pendingPositives = false
   private var processes = 0
 
-  // Feedback-derived bounds, valid only under the monotonic assumption an
-  // operator observed overloaded at p is a bottleneck at every p' <= p, and
-  // one that sustained its full offered rate at p is safe at every p' >= p.
-  // Keyed by (operator, rate multiplier): the job's own tuning history,
-  // exactly the information Algorithm 2 accumulates in T, applied as hard
-  // constraints on the search. The non-monotonic NN ablation cannot license
-  // these inferences and runs without them (which is the Fig. 11a contrast).
-  private val floorMem = scala.collection.mutable.Map.empty[(String, Double), Int]
-  private val safeMem  = scala.collection.mutable.Map.empty[(String, Double), Int]
-
-  // Operator embeddings per rate multiplier. The encoder is frozen, so they
-  // depend on the multiplier alone; reusing the same arrays also lets M_f's
-  // per-embedding cache hit across processes until its next refit.
-  private val embeddings = scala.collection.mutable.Map.empty[Double, Map[String, Array[Double]]]
+  /** What the session knows at one rate multiplier, by position in
+    * `dag.ops`. The encoder is frozen, so the embeddings depend on the
+    * multiplier alone; reusing the same arrays (also in T's feedback rows)
+    * lets M_f's identity-keyed records hit across processes and refits.
+    * The feedback bounds (0 = none yet) hold under the monotonic assumption:
+    * overloaded at p means a bottleneck at every p' <= p (`floor` is the
+    * least p not refuted), ran clean at p means safe at every p' >= p.
+    * The non-monotonic NN cannot license them (the Fig. 11a contrast).
+    */
+  private final class RateState(val emb: Array[Array[Double]]) {
+    val floor = new Array[Int](emb.length)
+    val safe  = new Array[Int](emb.length)
+    /** Operator `i`'s safe bound, pMax if there is none yet. */
+    def safeOrMax(i: Int): Int = if (safe(i) == 0) pMax else safe(i)
+  }
+  private val states = scala.collection.mutable.Map.empty[Double, RateState]
 
   private def fitRows: IndexedSeq[TrainRow] =
     if (tData.size <= fitCap) tData.toIndexedSeq
@@ -103,112 +109,100 @@ final class StreamTuneSession(
       (earlierPos ++ recent).toIndexedSeq
     }
 
+  /** The guard on operator `i`'s model answer `base`. Before any feedback at
+    * this rate, the first-contact recommendation carries a small headroom,
+    * the usual SLO buffer for an unverified prediction. Otherwise the answer
+    * is reconciled with the bracket [floor, safe]: capped at safe, trusted
+    * inside, and below floor the bracket is bisected (sound under
+    * monotonicity: the minimum-parallelism search is a binary search).
+    */
+  private def bracket(st: RateState, i: Int, base: Int): Int =
+    if (st.floor(i) == 0 && st.safe(i) == 0)
+      math.min(pMax, base + math.max(1, math.ceil(0.08 * base).toInt))
+    else {
+      val safe  = st.safeOrMax(i)
+      val floor = math.min(safe, math.max(1, st.floor(i)))
+      if (base > safe) safe
+      else if (base >= floor) base
+      else math.max(floor, (floor + safe) / 2)
+    }
+
+  /** A run free of backpressure sustained every operator's offered rate:
+    * each deployed p becomes a safe bound.
+    */
+  private def foldSafe(st: RateState, par: Map[String, Int]): Unit =
+    dag.ops.indices.foreach { i =>
+      st.safe(i) = math.min(st.safeOrMax(i), par(dag.ops(i).id))
+    }
+
   override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
-    val dag   = workload.dag
     val rates = workload.rates(multiplier, mode)
-    val embOf = embeddings.getOrElseUpdate(multiplier, {
-      val emb = cluster.encoder.embed(Pretrain.agnosticSample(dag, rates))
-      dag.ops.map(_.id).zipWithIndex.map { case (id, i) => id -> emb(i) }.toMap
-    })
+    val st = states.getOrElseUpdate(multiplier,
+      new RateState(cluster.encoder.embed(Pretrain.agnosticSample(dag, rates))))
 
     processes += 1
-    if (pendingPositives || processes % refitEvery == 0) {
-      model.fit(fitRows)
-      pendingPositives = false
-    }
+    if (processes % refitEvery == 0) model.fit(fitRows) // line 5
 
     var par = current
     var reconfigs = 0
     var prevRec: Map[String, Int] = null
-    var lastRun: RunResult = null
+    var run: RunResult = null
     var iter = 0
     var converged = false
     while (!converged && iter < TuningSession.maxIter) {
-      // Line 6-8: recommend minimum safe parallelism per operator in the
-      // DAG's topological order. The model's binary-search answer is
-      // reconciled with the feedback bracket [floor, safe]: inside the
-      // bracket the model is trusted; outside it the search bisects the
-      // bracket (sound under monotonicity — the paper's own observation
-      // that the minimum-parallelism search is a binary search). A
-      // first-contact recommendation (no bracket yet) carries a small
-      // deployment headroom, the usual SLO buffer for an unverified
-      // prediction.
-      val rec = dag.topoOrder.map { id =>
-        val op = dag.byId(id)
+      // Lines 6-8: the minimum safe parallelism per operator, in the DAG's
+      // topological order.
+      val rec = topo.map { i =>
+        val op = dag.ops(i)
         val p =
           if (op.opType == OpType.Source) 1
           else {
-            val base = FineTuneModel.minSafeParallelism(model, embOf(id), pMax)
-            if (!model.monotonic) base
-            else {
-              val key      = (id, multiplier)
-              val safeOpt  = safeMem.get(key)
-              val floorOpt = floorMem.get(key)
-              val safe     = safeOpt.getOrElse(pMax)
-              val floor    = math.min(safe, floorOpt.getOrElse(1))
-              if (safeOpt.isEmpty && floorOpt.isEmpty)
-                math.min(pMax, base + math.max(1, math.ceil(0.08 * base).toInt))
-              else if (base > safe) safe
-              else if (base >= floor) base
-              else math.max(floor, (floor + safe) / 2)
-            }
+            val base = FineTuneModel.minSafeParallelism(model, st.emb(i), pMax)
+            if (model.monotonic) bracket(st, i, base) else base
           }
-        id -> p
+        op.id -> p
       }.toMap
-      if (prevRec != null && rec == prevRec && lastRun != null && !lastRun.jobBackpressure) {
-        converged = true
-      } else {
+      // Line 12; the first iteration always deploys.
+      if (rec == prevRec && !run.jobBackpressure) converged = true
+      else {
         if (rec != par) { par = rec; reconfigs += 1 }
-        val run = Simulator.run(dag, rates, par, mode)
+        run = Simulator.run(dag, rates, par, mode)
         // Lines 10-11: collect feedback labels into T, and fold the same
-        // feedback into the monotonicity bounds.
+        // feedback into the bounds. A positive label means M_f was wrong:
+        // refit now.
         val labels = Labeler.label(run)
-        dag.ops.foreach { op =>
+        var positives = false
+        dag.ops.indices.foreach { i =>
+          val op = dag.ops(i)
           val l = labels(op.id)
           if (l >= 0) {
-            tData += TrainRow(embOf(op.id), par(op.id), l)
-            if (l == 1) pendingPositives = true
+            tData += TrainRow(st.emb(i), par(op.id), l)
+            if (l == 1) positives = true
           }
-          val m = run.ops(op.id)
-          if (m.overloaded) {
-            val key = (op.id, multiplier)
-            floorMem(key) =
-              math.max(floorMem.getOrElse(key, 1), math.min(pMax, par(op.id) + 1))
-          }
-          if (!run.jobBackpressure) {
-            val key = (op.id, multiplier)
-            safeMem(key) = math.min(safeMem.getOrElse(key, pMax), par(op.id))
-          }
+          if (run.ops(op.id).overloaded)
+            st.floor(i) = math.max(st.floor(i), math.min(pMax, par(op.id) + 1))
         }
-        if (pendingPositives) { model.fit(fitRows); pendingPositives = false }
-        lastRun = run
+        if (!run.jobBackpressure) foldSafe(st, par)
+        if (positives) model.fit(fitRows)
         prevRec = rec
       }
       iter += 1
     }
-    if (lastRun == null) lastRun = Simulator.run(dag, rates, par, mode)
 
     // Rescue deployment: if the iteration budget ran out mid-recovery (deep
     // DAGs reveal bottlenecks one frontier at a time), fall back to the
     // composition of known-safe parallelisms — sound under monotonicity
     // (each was observed sustaining its full offered rate at this rate
     // level), hence gated on a monotonic model like the other bounds.
-    if (model.monotonic && lastRun.jobBackpressure) {
-      val rescue = dag.ops.map { op =>
-        op.id -> (
-          if (op.opType == OpType.Source) 1
-          else safeMem.getOrElse((op.id, multiplier), pMax))
+    if (model.monotonic && run.jobBackpressure) {
+      val rescue = dag.ops.indices.map { i =>
+        val op = dag.ops(i)
+        op.id -> (if (op.opType == OpType.Source) 1 else st.safeOrMax(i))
       }.toMap
       if (rescue != par) { par = rescue; reconfigs += 1 }
-      val run = Simulator.run(dag, rates, par, mode)
-      dag.ops.foreach { op =>
-        if (!run.jobBackpressure) {
-          val key = (op.id, multiplier)
-          safeMem(key) = math.min(safeMem.getOrElse(key, pMax), par(op.id))
-        }
-      }
-      lastRun = run
+      run = Simulator.run(dag, rates, par, mode)
+      if (!run.jobBackpressure) foldSafe(st, par)
     }
-    ProcessResult(par, reconfigs, if (lastRun.jobBackpressure) 1 else 0, lastRun)
+    ProcessResult(par, reconfigs, if (run.jobBackpressure) 1 else 0, run)
   }
 }

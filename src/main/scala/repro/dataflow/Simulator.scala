@@ -216,6 +216,8 @@ object Simulator {
     1.0 + SimConstants.measureEps(op.opType) * epsScale *
       DetRandom.signed(seed, dagName, op.id, epoch, "s")
 
+  private val noiseSeed = 7L // seed of every run's measurement noise
+
   /** Simulate one deployment.
     *
     * @param sourceRates records/s per source operator id
@@ -226,7 +228,6 @@ object Simulator {
       sourceRates: Map[String, Double],
       parallelisms: Map[String, Int],
       mode: SimMode,
-      seed: Long = 7,
       noiseEpoch: Long = 0,
   ): RunResult = {
     require(dag.sources.forall(s => sourceRates.contains(s.id)),
@@ -271,7 +272,7 @@ object Simulator {
       // saturation the useful-time normalization carries the mode's error.
       val measured =
         if (overloaded(id)) truePerInstance
-        else truePerInstance * measurementBias(dag.name, op, p, mode, seed, noiseEpoch,
+        else truePerInstance * measurementBias(dag.name, op, p, mode, noiseSeed, noiseEpoch,
           SimConstants.lowRateFactor(offered(id)))
       OpMetrics(
         id = id,
@@ -286,7 +287,7 @@ object Simulator {
         // Selectivity is observed by record counting — inherently more
         // accurate than time accounting — so it carries half the error.
         measuredSelectivity =
-          op.selectivity * selectivityBias(dag.name, op, seed, noiseEpoch,
+          op.selectivity * selectivityBias(dag.name, op, noiseSeed, noiseEpoch,
             0.5 * SimConstants.lowRateFactor(offered(id))),
       )
     }.map(m => m.id -> m).toMap

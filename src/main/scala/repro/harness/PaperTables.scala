@@ -12,12 +12,11 @@ import repro.workloads._
   */
 object PaperTables {
 
-  final case class Config(
-      runsPer: Int = 150,
-      epochs: Int = 40,
-      ztRunsPer: Int = 80,
-      patternSeed: Long = 2025,
-  )
+  // Pre-training scale: history runs per workload (StreamTune, ZeroTune)
+  // and GNN epochs.
+  private val runsPer   = 150
+  private val ztRunsPer = 80
+  private val epochs    = 40
 
   // ----- Table II (spec): source-rate units ---------------------------
 
@@ -75,64 +74,58 @@ object PaperTables {
   // ----- Evaluation runners -------------------------------------------
 
   /** Flink-mode pre-training over all 61 workloads. */
-  def pretrainFlink(cfg: Config = Config()): Pretrained =
-    Pretrain.pretrain(Workloads.all, SimMode.Flink, runsPer = cfg.runsPer, epochs = cfg.epochs)
+  def pretrainFlink(): Pretrained =
+    Pretrain.pretrain(Workloads.all, SimMode.Flink, runsPer = runsPer, epochs = epochs)
 
-  def pretrainZeroTune(cfg: Config = Config()): GnnEncoder =
-    Pretrain.pretrainZeroTune(Pqp.all, SimMode.Flink, runsPer = cfg.ztRunsPer, epochs = cfg.epochs)
+  def pretrainZeroTune(): GnnEncoder =
+    Pretrain.pretrainZeroTune(Pqp.all, SimMode.Flink, runsPer = ztRunsPer, epochs = epochs)
 
   /** Full Flink-mode evaluation: DS2 / ContTune / StreamTune(SVM) on all
     * workloads, ZeroTune on PQP only (it is PQP-specific, §V-A).
     */
-  def flinkEvaluation(
-      pre: Pretrained,
-      zt: GnnEncoder,
-      cfg: Config = Config(),
-  ): Vector[WorkloadStats] = {
+  def flinkEvaluation(pre: Pretrained, zt: GnnEncoder): Vector[WorkloadStats] = {
     val common = Seq(
       "DS2" -> Evaluation.ds2Factory(SimMode.Flink),
       "ContTune" -> Evaluation.contTuneFactory(SimMode.Flink),
       "StreamTune" -> Evaluation.streamTuneFactory(pre, Evaluation.svmModel),
     )
-    val nexmark = Evaluation.evaluate(Nexmark.all, SimMode.Flink, common,
-      patternSeed = cfg.patternSeed)
+    val nexmark = Evaluation.evaluate(Nexmark.all, SimMode.Flink, common)
     val pqp = Evaluation.evaluate(Pqp.all, SimMode.Flink,
-      common :+ ("ZeroTune" -> Evaluation.zeroTuneFactory(zt, SimMode.Flink)),
-      patternSeed = cfg.patternSeed)
+      common :+ ("ZeroTune" -> Evaluation.zeroTuneFactory(zt, SimMode.Flink)))
     nexmark ++ pqp
   }
 
   /** Timely-mode evaluation on Q3/Q5/Q8 (§V-F: the other Nexmark jobs run
     * fine at parallelism 1 there).
     */
-  def timelyEvaluation(cfg: Config = Config()): Vector[WorkloadStats] = {
+  def timelyEvaluation(): Vector[WorkloadStats] = {
     val wl = Vector(Nexmark.q3, Nexmark.q5, Nexmark.q8)
-    val pre = Pretrain.pretrain(wl, SimMode.Timely, runsPer = cfg.runsPer, epochs = cfg.epochs)
+    val pre = Pretrain.pretrain(wl, SimMode.Timely, runsPer = runsPer, epochs = epochs)
     Evaluation.evaluate(wl, SimMode.Timely, Seq(
       "DS2" -> Evaluation.ds2Factory(SimMode.Timely),
       "ContTune" -> Evaluation.contTuneFactory(SimMode.Timely),
       "StreamTune" -> Evaluation.streamTuneFactory(pre, Evaluation.svmModel),
-    ), patternSeed = cfg.patternSeed)
+    ))
   }
 
   /** Fig. 11a ablation: the fine-tuning model choice (SVM / XGBoost / NN)
     * on Nexmark Q3, Q5, Q8 in Flink mode.
     */
-  def ablation(pre: Pretrained, cfg: Config = Config()): Vector[WorkloadStats] = {
+  def ablation(pre: Pretrained): Vector[WorkloadStats] = {
     val wl = Vector(Nexmark.q3, Nexmark.q5, Nexmark.q8)
     Evaluation.evaluate(wl, SimMode.Flink, Seq(
       "StreamTune(SVM)" -> Evaluation.streamTuneFactory(pre, Evaluation.svmModel),
       "StreamTune(XGBoost)" -> Evaluation.streamTuneFactory(pre, Evaluation.gbtModel),
       "StreamTune(NN)" -> Evaluation.streamTuneFactory(pre, Evaluation.nnModel),
-    ), patternSeed = cfg.patternSeed)
+    ))
   }
 
   /** Fig. 11b ablation: similarity-center computation time, direct GED vs
     * AStar+-LSa-style search, over growing DAG populations. Returns
     * (population size, direct millis, lsa millis).
     */
-  def gedTiming(sizes: Seq[Int] = Seq(40, 80, 160, 320), tau: Double = 5.0)
-      : Seq[(Int, Double, Double)] = {
+  def gedTiming(sizes: Seq[Int] = Seq(40, 80, 160, 320)): Seq[(Int, Double, Double)] = {
+    val tau = 5.0
     // Population of small DAGs (the Fig. 5 size distribution concentrates
     // below ~8 operators): PQP/Nexmark structures, cycled to size. The
     // direct-GED baseline is exponential in node count, so the population

@@ -265,21 +265,33 @@ class MonotonicSpec extends AnyFunSuite {
     val kept = (0 until 20).map(i => h(30000 + i)) ++ Seq(warm(0), warm(7), copies(0), nan)
     val m = new MonotonicSvm(dim)
     var queried = 0L
+    // The distances held, after every query: never above the budget, and
+    // falling when the records are dropped and the points renumbered.
+    var held = 0L
+    var drops = 0
+    def tracked(queries: Seq[Array[Double]]): Seq[Long] = queries.map { q =>
+      val bits = java.lang.Double.doubleToLongBits(m.threshold(q))
+      assert(m.memoSize > 0 && m.memoSize <= MonotonicSvm.memoBudget, s"${m.memoSize} distances held")
+      if (m.memoSize < held) drops += 1
+      held = m.memoSize
+      bits
+    }
     for (step <- 0 until 8) {
       val data = fitRows
       m.fit(data)
       val queries = kept ++ (0 until 100).map(i => h(40000 + step * 1000 + i))
       queried += queries.size
       val want = queries.map(q => java.lang.Double.doubleToLongBits(referenceThreshold(data.toArray, dim, q)))
-      assert(thresholdBits(m, queries) == want, s"step $step, ${data.size} rows")
+      assert(tracked(queries) == want, s"step $step, ${data.size} rows")
       // Asked again before the next refit, the records answer the same.
-      assert(thresholdBits(m, queries.reverse) == want.reverse, s"step $step, repeated")
+      assert(tracked(queries.reverse) == want.reverse, s"step $step, repeated")
       tData ++= (0 until 200).map(i => row(if (i % 2 == 0) queries(i % queries.size) else tData(rng.nextInt(tData.size)).h))
     }
     assert(tData.size > fitCap + 1000, "the cap must drop rows")
     // Every query record spans at least the warm-up's distinct arrays plus
     // the growth slack, so the records cross the budget at least once.
     assert(queried * (warm.size + copies.size + 256) > 2 * MonotonicSvm.memoBudget)
+    assert(drops > 0, "the records never crossed the budget")
   }
 
   test("exp(-x) is exactly +0.0 beyond 746, the SVM's kernel-weight cut-off") {

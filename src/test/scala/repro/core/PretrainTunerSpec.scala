@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.dataflow._
+import repro.harness.{Evaluation, WorkloadStats}
 import repro.workloads.{Nexmark, Pqp}
 import scala.collection.mutable.ArrayBuffer
 
@@ -237,5 +238,40 @@ class TunerSpec extends AnyFunSuite {
     assert(warm > 0 && model.fitSizes.head == warm)
     assert(model.fitSizes.size > 1, "no deploy was backpressured")
     assert(model.fitSizes.tail.forall(_ > warm), model.fitSizes)
+  }
+
+  private def pinned(model: Int => FineTuneModel, jobs: Seq[repro.workloads.Workload], name: String) =
+    jobs.map(w => Evaluation.runOne(w, SimMode.Flink, name, Evaluation.streamTuneFactory(TinyPretrain.pre, model)))
+
+  test("StreamTune(SVM) decisions over the full rate pattern are pinned") {
+    // Exact figures of the reference run, on the guarded path. Every job
+    // takes both bounds-driven branches: the bracket bisects 171-706 times
+    // per job, and 4-14 processes per job end with the rescue deploy.
+    val expected = Seq(
+      WorkloadStats("StreamTune(SVM)", "Q3", "Q3", "Flink", 120, 163, 1.3583333333333334, 0, 59.0,
+        0.33413618828411085, 0.3506618031130803, 0.35228343390382105),
+      WorkloadStats("StreamTune(SVM)", "Q5", "Q5", "Flink", 120, 177, 1.475, 0, 48.0,
+        0.33707721114727746, 0.3520335289785142, 0.35365509550551627),
+      WorkloadStats("StreamTune(SVM)", "Q8", "Q8", "Flink", 120, 209, 1.7416666666666667, 0, 115.0,
+        0.3396751458231322, 0.35234638370627597, 0.35317709955522336),
+      WorkloadStats("StreamTune(SVM)", "Linear-2", "Linear", "Flink", 120, 213, 1.775, 0, 101.0,
+        0.3391891420023687, 0.3514121231576292, 0.35243034975611537),
+      WorkloadStats("StreamTune(SVM)", "3-way-join-8", "3-way-join", "Flink", 120, 165, 1.375, 0, 29.0,
+        0.3357037670814556, 0.3513829984404012, 0.3519013718974781),
+    )
+    val jobs = Seq(Nexmark.q3, Nexmark.q5, Nexmark.q8, Pqp.linear(2), Pqp.threeWayJoin(8))
+    assert(pinned(Evaluation.svmModel, jobs, "StreamTune(SVM)") == expected)
+  }
+
+  test("StreamTune(NN) decisions over the full rate pattern are pinned") {
+    // The unguarded path: a non-monotonic M_f gets no brackets, headroom or
+    // rescue. Exact figures of the reference run.
+    val expected = Seq(
+      WorkloadStats("StreamTune(NN)", "Q2", "Q2", "Flink", 120, 24, 0.2, 40, 201.0,
+        0.2999171401065003, 0.31309859589538175, 0.3141803429803352),
+      WorkloadStats("StreamTune(NN)", "Q5", "Q5", "Flink", 120, 24, 0.2, 48, 301.0,
+        0.27325857517310764, 0.28538322188680737, 0.28669777814888403),
+    )
+    assert(pinned(Evaluation.nnModel, Seq(Nexmark.q2, Nexmark.q5), "StreamTune(NN)") == expected)
   }
 }

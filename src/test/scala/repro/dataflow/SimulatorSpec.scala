@@ -138,9 +138,9 @@ class SimulatorSpec extends AnyFunSuite {
 
   test("measurement bias is deterministic per (op, p, epoch) and re-rolls across epochs") {
     val d = chain()
-    val r1 = Simulator.run(d, Map("src" -> 1e4), par(d, 10), SimMode.Flink, 7, noiseEpoch = 1)
-    val r2 = Simulator.run(d, Map("src" -> 1e4), par(d, 10), SimMode.Flink, 7, noiseEpoch = 1)
-    val r3 = Simulator.run(d, Map("src" -> 1e4), par(d, 10), SimMode.Flink, 7, noiseEpoch = 2)
+    val r1 = Simulator.run(d, Map("src" -> 1e4), par(d, 10), SimMode.Flink, noiseEpoch = 1)
+    val r2 = Simulator.run(d, Map("src" -> 1e4), par(d, 10), SimMode.Flink, noiseEpoch = 1)
+    val r3 = Simulator.run(d, Map("src" -> 1e4), par(d, 10), SimMode.Flink, noiseEpoch = 2)
     assert(r1.ops("a").measuredPerInstanceRate == r2.ops("a").measuredPerInstanceRate)
     assert(r1.ops("a").measuredPerInstanceRate != r3.ops("a").measuredPerInstanceRate)
   }
