@@ -160,30 +160,31 @@ final class ContTuneSession(workload: Workload, mode: SimMode)
   import ContTuneSession._
   override val methodName = "ContTune"
 
-  // Per-operator local history: parallelism -> latest measured per-instance
-  // processing rate. ContTune's surrogate is over processing ability *per
-  // unit of parallelism* — an O(1)-scale, slowly-varying function the RBF
-  // GP interpolates well (modeling absolute capacity would span two orders
-  // of magnitude and collapse to the prior between observations).
-  private val history =
-    scala.collection.mutable.Map(dag.ops.map(_.id -> scala.collection.mutable.Map.empty[Int, Double]): _*)
+  // Per-operator local history, by position in `dag.ops`: parallelism ->
+  // latest measured per-instance processing rate. ContTune's surrogate is
+  // over processing ability *per unit of parallelism* — an O(1)-scale,
+  // slowly-varying function the RBF GP interpolates well (modeling absolute
+  // capacity would span two orders of magnitude and collapse to the prior
+  // between observations).
+  private val history = Array.fill(dag.size)(scala.collection.mutable.Map.empty[Int, Double])
   private val maxObsPerOp = 30
   // One surrogate, refitted per operator and recommendation.
   private val gp = new Gp(pMax)
 
   override protected def observe(obs: RunResult): Unit =
-    dag.ops.foreach { op =>
+    dag.ops.indices.foreach { i =>
+      val op = dag.ops(i)
       if (op.opType != OpType.Source) {
         val m = obs.ops(op.id)
-        val h = history(op.id)
+        val h = history(i)
         h(m.parallelism) = m.measuredPerInstanceRate
         if (h.size > maxObsPerOp) h.remove(h.keys.maxBy(p => math.abs(p - m.parallelism)))
       }
     }
 
-  private def recommendOp(opId: String, req: Double, currentP: Int,
+  private def recommendOp(i: Int, req: Double, currentP: Int,
       perInstance: Double, allowProbe: Boolean): Int = {
-    val h = history(opId)
+    val h = history(i)
     val yScale = math.max(1.0, if (h.isEmpty) perInstance else h.values.sum / h.size)
     gp.fit(h.iterator.map { case (p, y) => (p, y / yScale) })
     val ps = safeP(gp, req, yScale)
@@ -203,10 +204,11 @@ final class ContTuneSession(workload: Workload, mode: SimMode)
   override protected def recommend(rates: Map[String, Double], obs: RunResult, iter: Int): Map[String, Int] = {
     val req = RateEstimator.requiredRates(dag, rates, obs)
     val allowProbe = iter < TuningSession.maxIter - 2 && !obs.jobBackpressure
-    dag.ops.map { op =>
+    dag.ops.indices.map { i =>
+      val op = dag.ops(i)
       val p =
         if (op.opType == OpType.Source) 1
-        else recommendOp(op.id, req(op.id), obs.parallelisms(op.id),
+        else recommendOp(i, req(op.id), obs.parallelisms(op.id),
           obs.ops(op.id).measuredPerInstanceRate, allowProbe)
       op.id -> p
     }.toMap

@@ -12,13 +12,13 @@ import repro.workloads.Workload
   */
 object RateEstimator {
   def requiredRates(dag: Dag, sourceRates: Map[String, Double], obs: RunResult): Map[String, Double] = {
-    val req = scala.collection.mutable.Map.empty[String, Double]
-    dag.topoOrder.foreach { id =>
-      req(id) =
-        if (dag.upstream(id).isEmpty) sourceRates(id)
-        else dag.upstream(id).map(u => req(u) * obs.ops(u).measuredSelectivity).sum
+    val req = new Array[Double](dag.size)
+    dag.topo.foreach { i =>
+      req(i) =
+        if (dag.upstream(i).isEmpty) sourceRates(dag.ops(i).id)
+        else dag.upstream(i).map(u => req(u) * obs.ops(dag.ops(u).id).measuredSelectivity).sum
     }
-    req.toMap
+    dag.ops.indices.map(i => dag.ops(i).id -> req(i)).toMap
   }
 }
 

@@ -20,13 +20,11 @@ final case class LabeledGraph(labels: Vector[String], edges: Vector[(Int, Int)])
 }
 
 object LabeledGraph {
-  def from(dag: Dag): LabeledGraph = {
-    val idx = dag.ops.map(_.id).zipWithIndex.toMap
+  def from(dag: Dag): LabeledGraph =
     LabeledGraph(
       dag.ops.map(_.opType.name),
-      dag.edges.map { case (a, b) => (idx(a), idx(b)) },
+      dag.edges.map { case (a, b) => (dag.index(a), dag.index(b)) },
     )
-  }
 }
 
 /** Exact Graph Edit Distance for directed dataflow DAGs (§IV-C).

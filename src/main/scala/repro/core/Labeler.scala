@@ -11,34 +11,26 @@ import repro.dataflow.{RunResult, SimConstants}
   */
 object Labeler {
 
-  def label(
-      run: RunResult,
-      threshold: Double = SimConstants.cpuThreshold,
-  ): Map[String, Int] = {
+  def label(run: RunResult): Map[String, Int] = {
     val dag = run.dag
     // Line 1: everything starts unlabeled.
-    val labels = scala.collection.mutable.Map(dag.ops.map(_.id -> -1): _*)
+    val labels = Array.fill(dag.size)(-1)
 
     // Lines 2-6: no job-level backpressure => no bottlenecks anywhere.
-    if (!run.jobBackpressure) {
-      dag.ops.foreach(o => labels(o.id) = 0)
-      return labels.toMap
-    }
-
-    // Line 7: operators under backpressure whose downstream operators are
-    // all free of backpressure — the backpressure frontier.
-    val frontier = dag.ops.filter { o =>
-      run.ops(o.id).backpressured &&
-      dag.downstream(o.id).forall(d => !run.ops(d).backpressured)
-    }
-
-    // Lines 8-16: examine the resource utilization of each frontier
-    // operator's direct downstream operators.
-    frontier.foreach { o =>
-      dag.downstream(o.id).foreach { d =>
-        labels(d) = if (run.ops(d).utilization > threshold) 1 else 0
+    if (!run.jobBackpressure) java.util.Arrays.fill(labels, 0)
+    else {
+      val m = dag.ops.map(o => run.ops(o.id))
+      // Line 7: operators under backpressure whose downstream operators are
+      // all free of backpressure — the backpressure frontier. Lines 8-16:
+      // examine the resource utilization of each frontier operator's direct
+      // downstream operators.
+      dag.ops.indices.foreach { i =>
+        if (m(i).backpressured && dag.downstream(i).forall(d => !m(d).backpressured))
+          dag.downstream(i).foreach { d =>
+            labels(d) = if (m(d).utilization > SimConstants.cpuThreshold) 1 else 0
+          }
       }
     }
-    labels.toMap
+    dag.ops.indices.map(i => dag.ops(i).id -> labels(i)).toMap
   }
 }

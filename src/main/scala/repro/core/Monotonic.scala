@@ -282,13 +282,9 @@ object MonotonicSvm {
   * are propagated down both subtrees so the *whole ensemble* — not just
   * single splits — respects monotonicity.
   */
-final class MonotonicGbt(
-    embedDim: Int,
-    rounds: Int = 30,
-    enforceMonotone: Boolean = true,
-) extends FineTuneModel {
-  override val name = if (enforceMonotone) "XGBoost" else "GBT-unconstrained"
-  override val monotonic: Boolean = enforceMonotone
+final class MonotonicGbt(embedDim: Int, rounds: Int = 30) extends FineTuneModel {
+  override val name = "XGBoost"
+  override val monotonic: Boolean = true
   private val depth    = 3
   private val lr       = 0.3
   private val lambda   = 1.0 // L2 penalty on leaf values
@@ -392,7 +388,7 @@ final class MonotonicGbt(
             val gain = gL * gL / (hL + lambda) + gR * gR / (hR + lambda) -
               gSum * gSum / (hSum + lambda)
             val monotoneOk =
-              !enforceMonotone || f != pIdx || {
+              f != pIdx || {
                 // Decreasing in p: the low-p side must not predict lower.
                 leafValue(gL, hL, lo, hi) >= leafValue(gR, hR, lo, hi)
               }
@@ -407,7 +403,7 @@ final class MonotonicGbt(
     if (bestF < 0) return Leaf(selfValue)
 
     val (li, ri) = idx.partition(i => xs(i)(bestF) <= bestThr)
-    if (enforceMonotone && bestF == pIdx) {
+    if (bestF == pIdx) {
       // Bound propagation: children on the low-p side stay >= mid, high-p
       // side stays <= mid, so monotonicity holds across whole subtrees.
       val wL = leafValue(li.map(g).sum, li.map(h).sum, lo, hi)

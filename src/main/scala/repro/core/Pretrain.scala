@@ -81,20 +81,18 @@ object Pretrain {
   }
 
   /** A [[GraphSample]] of `dag` at the given source rates: features plus
-    * upstream/downstream adjacency as indices into `dag.ops`.
+    * the DAG's own upstream/downstream position arrays.
     */
   private def sample(dag: Dag, sourceRates: Map[String, Double], pNorm: Array[Double],
-      labels: Array[Int], jobCost: Double): GraphSample = {
-    val idx = dag.ops.map(_.id).zipWithIndex.toMap
+      labels: Array[Int], jobCost: Double): GraphSample =
     GraphSample(
       x = Features.encodeDag(dag, sourceRates),
-      upstream = dag.ops.map(op => dag.upstream(op.id).map(idx).toArray).toArray,
-      downstream = dag.ops.map(op => dag.downstream(op.id).map(idx).toArray).toArray,
+      upstream = dag.upstream,
+      downstream = dag.downstream,
       pNorm = pNorm,
       labels = labels,
       jobCost = jobCost,
     )
-  }
 
   /** Build a [[GraphSample]] from a labeled history run. */
   def toSample(h: HistoryRun): GraphSample = {

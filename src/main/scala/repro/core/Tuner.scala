@@ -77,7 +77,6 @@ final class StreamTuneSession(
   private val mode = pretrained.mode
   private val pMax = TuningSession.maxParallelism(mode)
   private val dag  = workload.dag
-  private val topo = dag.topoOrder.map(id => dag.ops.indexWhere(_.id == id))
   val cluster: ClusterModel = pretrained.assign(dag)
   private val tData = ArrayBuffer[TrainRow]()
   tData ++= cluster.defaultWarmUpRows
@@ -152,7 +151,7 @@ final class StreamTuneSession(
     while (!converged && iter < TuningSession.maxIter) {
       // Lines 6-8: the minimum safe parallelism per operator, in the DAG's
       // topological order.
-      val rec = topo.map { i =>
+      val rec = dag.topo.map { i =>
         val op = dag.ops(i)
         val p =
           if (op.opType == OpType.Source) 1

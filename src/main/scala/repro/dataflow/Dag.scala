@@ -70,63 +70,62 @@ final case class Operator(
 /** A logical dataflow DAG: operators plus directed edges (upstream ->
   * downstream). Parallelism is *not* part of the DAG — it is the quantity
   * being tuned, and is supplied per-run to the simulator.
+  *
+  * The DAG owns operator positions: operator `i` is `ops(i)`, and the
+  * adjacency and topological order below are in positions. Maps keyed by
+  * operator id exist only at the API edge (source rates, parallelisms,
+  * metrics and labels).
   */
 final case class Dag(
     name: String,
     ops: Vector[Operator],
     edges: Vector[(String, String)],
 ) {
-  require(ops.map(_.id).distinct.size == ops.size, s"$name: duplicate operator ids")
+  /** Operator id -> its position in `ops`. */
+  val index: Map[String, Int] = ops.iterator.map(_.id).zipWithIndex.toMap
+  require(index.size == ops.size, s"$name: duplicate operator ids")
   require(
-    edges.forall { case (a, b) => byId.contains(a) && byId.contains(b) },
+    edges.forall { case (a, b) => index.contains(a) && index.contains(b) },
     s"$name: edge references unknown operator",
   )
 
-  lazy val byId: Map[String, Operator] = ops.map(o => o.id -> o).toMap
+  /** Positions each operator feeds, in edge order. */
+  val downstream: Array[Array[Int]] = adjacency(edges)
 
-  /** Downstream adjacency: op id -> ids it feeds. */
-  lazy val downstream: Map[String, Vector[String]] =
-    edges.groupBy(_._1).view.mapValues(_.map(_._2)).toMap.withDefaultValue(Vector.empty)
+  /** Positions feeding each operator, in edge order. */
+  val upstream: Array[Array[Int]] = adjacency(edges.map(_.swap))
 
-  /** Upstream adjacency: op id -> ids feeding it. */
-  lazy val upstream: Map[String, Vector[String]] =
-    edges.groupBy(_._2).view.mapValues(_.map(_._1)).toMap.withDefaultValue(Vector.empty)
+  private def adjacency(pairs: Vector[(String, String)]): Array[Array[Int]] = {
+    val out = Array.fill(ops.size)(Array.newBuilder[Int])
+    pairs.foreach { case (a, b) => out(index(a)) += index(b) }
+    out.map(_.result())
+  }
 
   /** Source operators: no in-edges. */
-  lazy val sources: Vector[Operator] = ops.filter(o => upstream(o.id).isEmpty)
+  lazy val sources: Vector[Operator] = ops.indices.filter(upstream(_).isEmpty).map(ops).toVector
 
   /** Sink operators: no out-edges. */
-  lazy val sinks: Vector[Operator] = ops.filter(o => downstream(o.id).isEmpty)
+  lazy val sinks: Vector[Operator] = ops.indices.filter(downstream(_).isEmpty).map(ops).toVector
 
-  /** Operator ids in topological order. Fails on cycles (a dataflow DAG must
-    * be acyclic).
+  /** Positions in topological order (Kahn's queue, seeded in `ops` order).
+    * Fails on cycles (a dataflow DAG must be acyclic).
     */
-  lazy val topoOrder: Vector[String] = {
-    val inDeg  = scala.collection.mutable.Map(ops.map(o => o.id -> upstream(o.id).size): _*)
-    val queue  = scala.collection.mutable.Queue(ops.map(_.id).filter(inDeg(_) == 0): _*)
-    val out    = Vector.newBuilder[String]
-    var seen   = 0
+  lazy val topo: Array[Int] = {
+    val inDeg = upstream.map(_.length)
+    val queue = scala.collection.mutable.Queue(ops.indices.filter(inDeg(_) == 0): _*)
+    val out   = Array.newBuilder[Int]
+    var seen  = 0
     while (queue.nonEmpty) {
-      val id = queue.dequeue()
-      out += id
+      val i = queue.dequeue()
+      out += i
       seen += 1
-      downstream(id).foreach { d =>
+      downstream(i).foreach { d =>
         inDeg(d) -= 1
         if (inDeg(d) == 0) queue.enqueue(d)
       }
     }
     require(seen == ops.size, s"$name: dataflow graph contains a cycle")
     out.result()
-  }
-
-  /** All strict descendants of `id` (transitive downstream closure). */
-  def descendants(id: String): Set[String] = {
-    val acc = scala.collection.mutable.Set.empty[String]
-    def go(x: String): Unit = downstream(x).foreach { d =>
-      if (acc.add(d)) go(d)
-    }
-    go(id)
-    acc.toSet
   }
 
   def size: Int = ops.size

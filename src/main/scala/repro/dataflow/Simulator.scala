@@ -132,7 +132,7 @@ final case class RunResult(
     jobBackpressure: Boolean,
 ) {
   def totalParallelism: Int = parallelisms.values.sum
-  def metricsInTopoOrder: Vector[OpMetrics] = dag.topoOrder.map(ops)
+  def metricsInTopoOrder: Vector[OpMetrics] = dag.topo.iterator.map(i => ops(dag.ops(i).id)).toVector
 }
 
 /** Rate-propagation simulator of dataflow execution with backpressure.
@@ -235,62 +235,63 @@ object Simulator {
     require(dag.ops.forall(o => parallelisms.getOrElse(o.id, 0) >= 1),
       s"${dag.name}: every operator needs parallelism >= 1")
 
-    val offered    = scala.collection.mutable.Map.empty[String, Double]
-    val output     = scala.collection.mutable.Map.empty[String, Double]
-    val ability    = scala.collection.mutable.Map.empty[String, Double]
-    val overloaded = scala.collection.mutable.Map.empty[String, Boolean]
+    val n          = dag.size
+    val offered    = new Array[Double](n)
+    val output     = new Array[Double](n)
+    val ability    = new Array[Double](n)
+    val overloaded = new Array[Boolean](n)
 
-    dag.topoOrder.foreach { id =>
-      val op = dag.byId(id)
+    dag.topo.foreach { i =>
+      val op = dag.ops(i)
       val in =
-        if (dag.upstream(id).isEmpty) sourceRates(id)
-        else dag.upstream(id).map(output).sum
-      val pa = processingAbility(op, parallelisms(id), mode)
-      offered(id)    = in
-      ability(id)    = pa
-      overloaded(id) = in > pa * (1.0 + 1e-9)
-      output(id)     = math.min(in, pa) * op.selectivity
+        if (dag.upstream(i).isEmpty) sourceRates(op.id)
+        else dag.upstream(i).map(output).sum
+      val pa = processingAbility(op, parallelisms(op.id), mode)
+      offered(i)    = in
+      ability(i)    = pa
+      overloaded(i) = in > pa * (1.0 + 1e-9)
+      output(i)     = math.min(in, pa) * op.selectivity
     }
 
     // Backpressured iff some descendant is overloaded: in reverse
     // topological order every downstream operator is already decided.
-    val backpressured = scala.collection.mutable.Map.empty[String, Boolean]
-    dag.topoOrder.reverseIterator.foreach { id =>
-      backpressured(id) = dag.downstream(id).exists(d => overloaded(d) || backpressured(d))
+    val backpressured = new Array[Boolean](n)
+    dag.topo.reverseIterator.foreach { i =>
+      backpressured(i) = dag.downstream(i).exists(d => overloaded(d) || backpressured(d))
     }
 
-    val jobBp = overloaded.values.exists(identity)
-    val metrics = dag.ops.map { op =>
-      val id   = op.id
-      val p    = parallelisms(id)
-      val pa   = ability(id)
-      val util = math.min(1.0, offered(id) / pa)
+    val jobBp = overloaded.contains(true)
+    val metrics = dag.ops.indices.map { i =>
+      val op   = dag.ops(i)
+      val p    = parallelisms(op.id)
+      val pa   = ability(i)
+      val util = math.min(1.0, offered(i) / pa)
       val truePerInstance = pa / p
       // At a saturated operator the observed throughput per instance IS the
       // capacity (busy fraction = 1), so rate-based tuners measure it
       // exactly there — this is what closes DS2's feedback loop. Below
       // saturation the useful-time normalization carries the mode's error.
       val measured =
-        if (overloaded(id)) truePerInstance
+        if (overloaded(i)) truePerInstance
         else truePerInstance * measurementBias(dag.name, op, p, mode, noiseSeed, noiseEpoch,
-          SimConstants.lowRateFactor(offered(id)))
-      OpMetrics(
-        id = id,
+          SimConstants.lowRateFactor(offered(i)))
+      op.id -> OpMetrics(
+        id = op.id,
         parallelism = p,
-        offeredRate = offered(id),
+        offeredRate = offered(i),
         processingAbility = pa,
         utilization = util,
-        overloaded = overloaded(id),
-        backpressured = backpressured(id),
-        outputRate = output(id),
+        overloaded = overloaded(i),
+        backpressured = backpressured(i),
+        outputRate = output(i),
         measuredPerInstanceRate = measured,
         // Selectivity is observed by record counting — inherently more
         // accurate than time accounting — so it carries half the error.
         measuredSelectivity =
           op.selectivity * selectivityBias(dag.name, op, noiseSeed, noiseEpoch,
-            0.5 * SimConstants.lowRateFactor(offered(id))),
+            0.5 * SimConstants.lowRateFactor(offered(i))),
       )
-    }.map(m => m.id -> m).toMap
+    }.toMap
 
     RunResult(dag, sourceRates, parallelisms, metrics, jobBp)
   }

@@ -220,7 +220,7 @@ class BaselinesSpec extends AnyFunSuite {
     val r = ds2.tuneProcess(10, TuningSession.initialConfig(w))
     // True optimum: sum of minimal sufficient parallelism per op.
     val trueNeeded = r.finalRun.metricsInTopoOrder.map { m =>
-      val op = w.dag.byId(m.id)
+      val op = w.dag.ops(w.dag.index(m.id))
       if (op.opType == OpType.Source) 1
       else Simulator.optimalParallelism(op, m.offeredRate, SimMode.Timely, 40)
     }.sum
@@ -266,7 +266,7 @@ class BaselinesSpec extends AnyFunSuite {
     val rates = wl.rates(5, SimMode.Flink)
     val obs = Simulator.run(dag, rates, dag.ops.map(_.id -> 10).toMap, SimMode.Flink)
     val req = RateEstimator.requiredRates(dag, rates, obs)
-    dag.topoOrder.foreach { id =>
+    dag.ops.map(_.id).foreach { id =>
       val trueReq = obs.ops(id).offeredRate
       if (trueReq > 0) {
         assert(req(id) > trueReq * 0.5 && req(id) < trueReq * 2.0,

@@ -52,13 +52,22 @@ class LabelerSpec extends AnyFunSuite {
     assert(labels("b") == -1)
   }
 
-  test("custom CPU threshold is honored") {
+  test("examined operators are labeled 1 exactly above the 60% CPU cut") {
+    // o2 starved: o1 is the frontier, so o2 and o3 are examined. Sweeping
+    // o3's parallelism moves its utilization across the cut.
     val d = TestDags.fig3
-    val p = par(d, Map("o1" -> 100, "o2" -> 1, "o3" -> 100, "o4" -> 100))
-    val r = Simulator.run(d, Map("src" -> 2e6), p, SimMode.Flink)
-    // With an absurd threshold above 1.0 nothing can be labeled 1.
-    val strict = Labeler.label(r, threshold = 1.5)
-    assert(!strict.values.exists(_ == 1))
+    val examined = (8 to 20).map { p3 =>
+      val p = par(d, Map("o1" -> 100, "o2" -> 1, "o3" -> p3, "o4" -> 100))
+      val r = Simulator.run(d, Map("src" -> 2e6), p, SimMode.Flink)
+      assert(r.ops("o1").backpressured && !r.ops("o2").backpressured && !r.ops("o3").backpressured)
+      val labels = Labeler.label(r)
+      assert(labels("o2") == 1)
+      r.ops("o3").utilization -> labels("o3")
+    }
+    examined.foreach { case (u, l) => assert(l == (if (u > SimConstants.cpuThreshold) 1 else 0), s"util $u") }
+    // Both sides of the cut are hit within 5 points of it.
+    assert(examined.exists { case (u, _) => u > 0.60 && u < 0.65 })
+    assert(examined.exists { case (u, _) => u > 0.55 && u <= 0.60 })
   }
 
   test("labels cover exactly the operator set") {

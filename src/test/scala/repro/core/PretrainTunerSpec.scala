@@ -23,7 +23,7 @@ class PretrainSpec extends AnyFunSuite {
     hist.foreach { h =>
       h.run.parallelisms.foreach { case (id, p) =>
         assert(p >= 1 && p <= 100)
-        if (h.run.dag.byId(id).opType == OpType.Source) assert(p == 1)
+        if (h.run.dag.ops(h.run.dag.index(id)).opType == OpType.Source) assert(p == 1)
       }
     }
   }

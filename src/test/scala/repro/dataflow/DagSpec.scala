@@ -48,12 +48,13 @@ class DagSpec extends AnyFunSuite {
 
   test("topological order respects every edge") {
     val d = diamond
-    val pos = d.topoOrder.zipWithIndex.toMap
-    d.edges.foreach { case (a, b) => assert(pos(a) < pos(b)) }
+    val pos = new Array[Int](d.size)
+    d.topo.indices.foreach(k => pos(d.topo(k)) = k)
+    d.edges.foreach { case (a, b) => assert(pos(d.index(a)) < pos(d.index(b))) }
   }
 
   test("topological order contains every operator exactly once") {
-    assert(chain().topoOrder.sorted == chain().ops.map(_.id).sorted)
+    assert(chain().topo.sorted.toSeq == chain().ops.indices)
   }
 
   test("sources are the operators without in-edges") {
@@ -66,23 +67,25 @@ class DagSpec extends AnyFunSuite {
 
   test("upstream and downstream adjacency are inverses") {
     val d = diamond
-    d.ops.foreach { o =>
-      d.downstream(o.id).foreach(dn => assert(d.upstream(dn).contains(o.id)))
-      d.upstream(o.id).foreach(up => assert(d.downstream(up).contains(o.id)))
+    d.ops.indices.foreach { i =>
+      d.downstream(i).foreach(dn => assert(d.upstream(dn).contains(i)))
+      d.upstream(i).foreach(up => assert(d.downstream(up).contains(i)))
     }
   }
 
-  test("descendants is the transitive downstream closure") {
-    assert(fig3.descendants("o1") == Set("o2", "o3", "o4"))
-    assert(fig3.descendants("o3") == Set("o4"))
-    assert(fig3.descendants("o4") == Set.empty[String])
+  test("index maps ids to positions; adjacency keeps edge order") {
+    val d = fig3
+    assert(d.ops.indices.forall(i => d.index(d.ops(i).id) == i))
+    assert(d.downstream(d.index("o1")).toSeq == Seq("o2", "o3").map(d.index))
+    assert(d.upstream(d.index("o4")).toSeq == Seq(d.index("o3")))
+    assert(d.upstream(d.index("src")).isEmpty)
   }
 
   test("cycles are rejected") {
     val bad = Dag("cycle",
       Vector(Operator("a", OpType.Map), Operator("b", OpType.Map)),
       Vector("a" -> "b", "b" -> "a"))
-    assertThrows[IllegalArgumentException](bad.topoOrder)
+    assertThrows[IllegalArgumentException](bad.topo)
   }
 
   test("duplicate operator ids are rejected") {

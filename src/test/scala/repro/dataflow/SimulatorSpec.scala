@@ -82,7 +82,7 @@ class SimulatorSpec extends AnyFunSuite {
     val d = chain()
     val r = Simulator.run(d, Map("src" -> 5e6), par(d, 1), SimMode.Flink)
     val a = r.ops("a")
-    assert(a.outputRate <= a.processingAbility * d.byId("a").selectivity + 1e-6)
+    assert(a.outputRate <= a.processingAbility * d.ops(d.index("a")).selectivity + 1e-6)
   }
 
   test("selectivities propagate offered rates downstream") {

@@ -10,12 +10,14 @@ class WorkloadsSpec extends AnyFunSuite {
   Workloads.all.foreach { w =>
     test(s"${w.key}: DAG is well-formed and simulable") {
       val dag = w.dag
-      assert(dag.topoOrder.size == dag.ops.size)
+      assert(dag.topo.length == dag.ops.size)
       assert(dag.sources.nonEmpty && dag.sinks.nonEmpty)
       assert(dag.sources.forall(_.opType == OpType.Source))
       // Every operator is reachable from some source.
-      val reachable = dag.sources.flatMap(s => dag.descendants(s.id) + s.id).toSet
-      assert(reachable == dag.ops.map(_.id).toSet)
+      val reached = new Array[Boolean](dag.size)
+      def visit(i: Int): Unit = if (!reached(i)) { reached(i) = true; dag.downstream(i).foreach(visit) }
+      dag.sources.foreach(s => visit(dag.index(s.id)))
+      assert(reached.forall(identity))
       // Simulable at every integer multiplier without errors.
       val par = dag.ops.map(_.id -> 2).toMap
       (1 to 10).foreach { m =>
