@@ -14,9 +14,15 @@ object RateEstimator {
   def requiredRates(dag: Dag, sourceRates: Map[String, Double], obs: RunResult): Map[String, Double] = {
     val req = new Array[Double](dag.size)
     dag.topo.foreach { i =>
-      req(i) =
-        if (dag.upstream(i).isEmpty) sourceRates(dag.ops(i).id)
-        else dag.upstream(i).map(u => req(u) * obs.ops(dag.ops(u).id).measuredSelectivity).sum
+      val ups = dag.upstream(i)
+      if (ups.isEmpty) req(i) = sourceRates(dag.ops(i).id)
+      else {
+        // Left to right from 0.0, the order and bits of `.map(...).sum`.
+        var s = 0.0
+        var j = 0
+        while (j < ups.length) { val u = ups(j); s += req(u) * obs.ops(dag.ops(u).id).measuredSelectivity; j += 1 }
+        req(i) = s
+      }
     }
     dag.ops.indices.map(i => dag.ops(i).id -> req(i)).toMap
   }

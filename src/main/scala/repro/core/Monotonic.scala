@@ -58,15 +58,29 @@ object FineTuneModel {
   *
   * `fit` orders the support set by p once, with a stable counting sort, in
   * O(n + max p), and gives every distinct support array (by identity) a
-  * point id that stays the same across refits. Each query array keeps one
-  * record: its threshold at the latest fit, and its squared distance to
-  * every point id it has met. A distance is computed once per (query,
-  * point) pair, so after a query's first threshold a refit costs it only
-  * the distances to new points, and each threshold is one O(n) pass: the
-  * k-th smallest distance from a k-slot buffer, kernel weights, and the
-  * cut sweep, in reused primitive buffers. A weight whose exponent is
-  * beyond -746 is stored as 0.0 without calling `exp`, which returns
-  * exactly 0.0 there, so every weight is the same double either way.
+  * point id that stays the same across refits; it indexes the rows by point
+  * id (ascending positions per id). Each query array keeps one record: its
+  * threshold at the latest fit, its squared distance to every point id it
+  * has met, computed once per (query, point) pair, and its near list.
+  *
+  * A query's first threshold is a full O(n) pass: the k-th smallest
+  * distance from a k-slot buffer, kernel weights, and the cut sweep, in
+  * reused primitive buffers. A row whose exponent is beyond -746 weighs
+  * exactly 0.0 (`exp` underflows there); the sweep skips it, which leaves
+  * every error it compares unchanged. The pass records the near list: the
+  * point ids within the reach R = 2 * 1492 * sigma^2, twice the squared
+  * distance at which a weight underflows. Every later threshold files the
+  * points added since, then works on the near points' rows alone: the
+  * bandwidth from their distances, then the sweep over their rows that
+  * can weigh more than 0.0, in support order. That gives the full pass's
+  * bits as long as the near rows hold the k nearest, every point beyond R
+  * still underflows (R / (2 sigma^2) > 746), and no point with a NaN
+  * distance has rows; otherwise the threshold falls back to a full pass,
+  * which records the list afresh. It also falls back when the near points
+  * hold more than n / 8 rows, where sorting them would cost more than the
+  * pass. So a threshold costs time in proportion to the rows the kernel
+  * reaches, not to n.
+  *
   * Embedding arrays are taken to be immutable, as the identity keys
   * require. The records are dropped and the points renumbered when they
   * would hold more than `memoBudget` distances (8 MB).
@@ -79,24 +93,38 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   private val sharpness  = 60.0 // logistic slope per log10-parallelism unit
 
   // The support set, ordered by p (ties in input order), with each row's
-  // point id.
+  // point id; ps(groupEnd(p)) is the next larger p after p's rows.
   private var hs: Array[Array[Double]] = Array.empty
   private var ps: Array[Int] = Array.empty
   private var positive: Array[Boolean] = Array.empty
   private var ids: Array[Int] = Array.empty
+  private var groupEnd: Array[Int] = Array.empty
+  // The rows by point id: point `id` has the positions
+  // rowsAt(rowStart(id) until rowStart(id + 1)), ascending.
+  private var rowStart: Array[Int] = Array(0)
+  private var rowsAt: Array[Int] = Array.empty
   private var fits = 0
   // The previous fit's rows in input order, with their point ids: a refit
   // on the same rows plus appended ones, as a session's history grows,
   // finds each kept row's id without a hash lookup.
   private var lastRows: Array[TrainRow] = Array.empty
   private var lastIds: Array[Int] = Array.empty
-  // Point ids of the support arrays met since the last renumbering.
+  // Point ids of the support arrays met since the last renumbering, and
+  // each id's array.
   private val pointIds = new java.util.IdentityHashMap[Array[Double], Integer]()
+  private var points: Array[Array[Double]] = Array.empty
   private val queries = new java.util.IdentityHashMap[Array[Double], Query]()
   private var held = 0L // distances held by all query records
   private[core] def memoSize: Long = held
-  // Per-threshold scratch: squared distances, then kernel weights in place.
+  // Thresholds taken on the near path, and its refusals by cause.
+  private var nearHits = 0L
+  private val refused = new Array[Long](4)
+  private[core] def nearThresholds: Long = nearHits
+  private[core] def refusals(cause: Int): Long = refused(cause)
+  // Per-threshold scratch: squared distances, then kernel weights in place,
+  // and the positions of the rows the sweep reads.
   private var weights: Array[Double] = Array.empty
+  private var reached: Array[Int] = Array.empty
   private val nearest = new Array[Double](kNeighbors)
 
   override def fit(data: IndexedSeq[TrainRow]): Unit = {
@@ -109,7 +137,8 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
       if (p > maxP) maxP = p
       i += 1
     }
-    // Stable counting sort: start(p) is the first slot of parallelism p.
+    // Stable counting sort: start(p) is the first slot of parallelism p,
+    // and the end of its group once the rows are placed.
     val start = new Array[Int](maxP + 2)
     i = 0
     while (i < n) { start(data(i).p + 1) += 1; i += 1 }
@@ -135,16 +164,43 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
       rowIds(i) = id
       i += 1
     }
+    groupEnd = start
     lastRows = rows
     lastIds = rowIds
-    if (weights.length < n) weights = new Array[Double](n)
+    index()
+    if (weights.length < n) { weights = new Array[Double](n); reached = new Array[Int](n) }
     fits += 1
   }
 
   private def pointId(h: Array[Double]): Int = {
     val known = pointIds.get(h)
     if (known != null) known.intValue()
-    else { val id = pointIds.size; pointIds.put(h, id); id }
+    else {
+      val id = pointIds.size
+      pointIds.put(h, id)
+      if (id == points.length) points = java.util.Arrays.copyOf(points, math.max(64, 2 * id))
+      points(id) = h
+      id
+    }
+  }
+
+  /** Indexes the support rows by point id, in O(n + point ids). */
+  private def index(): Unit = {
+    val n = ids.length
+    val count = pointIds.size
+    val offsets = new Array[Int](count + 1)
+    var i = 0
+    while (i < n) { offsets(ids(i) + 1) += 1; i += 1 }
+    var id = 0
+    while (id < count) { offsets(id + 1) += offsets(id); id += 1 }
+    // Place each row at its id's cursor, which ends at the next id's start.
+    val at = new Array[Int](n)
+    i = 0
+    while (i < n) { val c = offsets(ids(i)); at(c) = i; offsets(ids(i)) = c + 1; i += 1 }
+    System.arraycopy(offsets, 0, offsets, 1, count)
+    offsets(0) = 0
+    rowStart = offsets
+    rowsAt = at
   }
 
   /** Drops every query record and numbers the current support arrays from 0. */
@@ -152,9 +208,11 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     queries.clear()
     held = 0
     pointIds.clear()
+    points = new Array[Array[Double]](points.length)
     lastRows = Array.empty
     var i = 0
     while (i < hs.length) { ids(i) = pointId(hs(i)); i += 1 }
+    index()
   }
 
   /** The record of query `h`, its distances covering every point id. */
@@ -181,70 +239,172 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   def threshold(h: Array[Double]): Double = {
     val q = record(h)
     if (q.fit != fits) {
-      q.t = computeThreshold(h, q.dist)
+      val t = if (q.fit < 0) Double.NaN else nearThreshold(h, q)
+      q.t = if (java.lang.Double.isNaN(t)) fullThreshold(h, q) else t
       q.fit = fits
     }
     q.t
   }
 
-  private def computeThreshold(h: Array[Double], dist: Array[Double]): Double = {
+  private def distance(h: Array[Double], hi: Array[Double]): Double = {
+    var s = 0.0; var j = 0
+    while (j < embedDim) { val d = h(j) - hi(j); s += d * d; j += 1 }
+    s
+  }
+
+  /** Puts distance `s` among the k smallest, held in ascending order in
+    * `nearest(0 until kept)`; returns how many are held after.
+    */
+  private def keepNearest(s: Double, kept: Int, k: Int): Int = {
+    val now = if (kept < k) kept + 1 else kept
+    var at = now - 1
+    while (at > 0 && s < nearest(at - 1)) { nearest(at) = nearest(at - 1); at -= 1 }
+    nearest(at) = s
+    now
+  }
+
+  /** The threshold from a pass over every support row; records q's near
+    * list.
+    */
+  private def fullThreshold(h: Array[Double], q: Query): Double = {
     val n = ps.length
     if (n == 0) return -0.5
+    val dist = q.dist
     val w = weights
-    // Adaptive RBF bandwidth: squared distance to the k-th nearest row,
-    // kept as the k smallest distances in ascending order. A NaN distance
-    // is never kept, as if sorted after every number.
+    // Adaptive RBF bandwidth: squared distance to the k-th nearest row. A
+    // NaN distance is never kept, as if sorted after every number.
     val k = math.max(1, math.min(kNeighbors, n - 1))
     var kept = 0
     var i = 0
     while (i < n) {
       val id = ids(i)
       var s = dist(id)
-      if (s == unknown) {
-        s = 0.0; val hi = hs(i); var j = 0
-        while (j < embedDim) { val d = h(j) - hi(j); s += d * d; j += 1 }
-        dist(id) = s
-      }
+      if (s == unknown) { s = distance(h, hs(i)); dist(id) = s }
       w(i) = s
-      val keep = if (kept < k) !java.lang.Double.isNaN(s) else s < nearest(k - 1)
-      if (keep) {
-        if (kept < k) kept += 1
-        var at = kept - 1
-        while (at > 0 && s < nearest(at - 1)) { nearest(at) = nearest(at - 1); at -= 1 }
-        nearest(at) = s
-      }
+      if (if (kept < k) !java.lang.Double.isNaN(s) else s < nearest(k - 1)) kept = keepNearest(s, kept, k)
       i += 1
     }
     val sigma2 = math.max(1e-9, if (kept == k) nearest(k - 1) else Double.NaN)
-    // Kernel weights, and the weighted error of the cut t = -inf: every
-    // positive row misclassified. exp(-x) is exactly 0.0 for x > 746.
-    var err = 0.0
+    q.reach = 2.0 * 1492.0 * sigma2
+    q.near.size = 0
+    q.nan.size = 0
+    q.classified = 0
+    classify(h, q)
+    // Kernel weights; exp(-x) is exactly 0.0 for x > 746, so those rows are
+    // left out of the sweep. A NaN weight is kept.
+    val at = reached
+    var m = 0
     i = 0
     while (i < n) {
       val x = w(i) / (2.0 * sigma2)
-      w(i) = if (x > 746.0) 0.0 else math.exp(-x)
-      if (positive(i)) err += w(i)
+      if (!(x > 746.0)) { w(i) = math.exp(-x); at(m) = i; m += 1 }
       i += 1
     }
+    sweep(m)
+  }
 
-    // Sweep the cut over sorted log-parallelism values; minimize weighted
-    // misclassification. label=1 at p_i wants t > pNorm(p_i); label=0 wants
-    // t <= pNorm(p_i).
+  /** Files the point ids q has not met yet under its near or NaN list. */
+  private def classify(h: Array[Double], q: Query): Unit = {
+    val dist = q.dist
+    val count = pointIds.size
+    var id = q.classified
+    while (id < count) {
+      var s = dist(id)
+      if (s == unknown) { s = distance(h, points(id)); dist(id) = s }
+      if (s <= q.reach) q.near.add(id)
+      else if (java.lang.Double.isNaN(s)) q.nan.add(id)
+      id += 1
+    }
+    q.classified = count
+  }
+
+  /** The full pass's threshold from the rows of q's near points alone, or
+    * NaN where those rows might not decide it.
+    */
+  private def nearThreshold(h: Array[Double], q: Query): Double = {
+    classify(h, q)
+    val n = ps.length
+    val dist = q.dist
+    val near = q.near.ids
+    val nNear = q.near.size
+    var i = 0
+    while (i < q.nan.size) {
+      val id = q.nan.ids(i)
+      if (rowStart(id + 1) > rowStart(id)) { refused(RefusedNan) += 1; return Double.NaN }
+      i += 1
+    }
+    // The bandwidth as in the full pass, each near point counted once per
+    // row; every other row lies beyond R.
+    val k = math.max(1, math.min(kNeighbors, n - 1))
+    var kept = 0
+    var nearRows = 0
+    i = 0
+    while (i < nNear) {
+      val id = near(i)
+      val s = dist(id)
+      var c = rowStart(id + 1) - rowStart(id)
+      nearRows += c
+      while (c > 0 && (kept < k || s < nearest(k - 1))) { kept = keepNearest(s, kept, k); c -= 1 }
+      i += 1
+    }
+    if (kept < k) { refused(RefusedFew) += 1; return Double.NaN }
+    // Sorting that many positions costs more than the full pass, which also
+    // records a list as tight as the current bandwidth allows.
+    if (nearRows > n / 8) { refused(RefusedCrowded) += 1; return Double.NaN }
+    val sigma2 = math.max(1e-9, nearest(k - 1))
+    if (!(q.reach / (2.0 * sigma2) > 746.0)) { refused(RefusedReach) += 1; return Double.NaN }
+    // The rows whose weight can be nonzero, in support order.
+    val w = weights
+    val at = reached
+    var m = 0
+    i = 0
+    while (i < nNear) {
+      val id = near(i)
+      val x = dist(id) / (2.0 * sigma2)
+      if (!(x > 746.0)) {
+        val wt = math.exp(-x)
+        var r = rowStart(id)
+        val end = rowStart(id + 1)
+        while (r < end) { val pos = rowsAt(r); w(pos) = wt; at(m) = pos; m += 1; r += 1 }
+      }
+      i += 1
+    }
+    java.util.Arrays.sort(at, 0, m)
+    nearHits += 1
+    sweep(m)
+  }
+
+  /** Sweeps the cut over sorted log-parallelism values and returns the one
+    * of least weighted misclassification: label=1 at p_i wants t > pNorm(p_i),
+    * label=0 wants t <= pNorm(p_i). Reads the rows at `reached(0 until m)`,
+    * ascending, with their kernel weights; every other row weighs +0.0, and
+    * adding it would leave each error, and so the cut, unchanged.
+    */
+  private def sweep(m: Int): Double = {
+    val n = ps.length
+    val w = weights
+    val at = reached
+    // The cut t = -inf: every positive row misclassified.
+    var err = 0.0
+    var i = 0
+    while (i < m) { if (positive(at(i))) err += w(at(i)); i += 1 }
     var bestErr = err
     var bestT = -0.5
     i = 0
-    while (i < n) {
-      val p = ps(i)
+    while (i < m) {
+      val p = ps(at(i))
       // Move the cut just above parallelism p (flip all rows at this p).
-      while (i < n && ps(i) == p) {
-        if (positive(i)) err -= w(i) else err += w(i)
+      while (i < m && ps(at(i)) == p) {
+        val pos = at(i)
+        if (positive(pos)) err -= w(pos) else err += w(pos)
         i += 1
       }
       if (err < bestErr - 1e-12) {
         bestErr = err
+        val next = groupEnd(p)
         bestT =
-          if (i >= n) Features.pNorm(p) + 0.15 // beyond all data
-          else (Features.pNorm(p) + Features.pNorm(ps(i))) / 2.0
+          if (next >= n) Features.pNorm(p) + 0.15 // beyond all data
+          else (Features.pNorm(p) + Features.pNorm(ps(next))) / 2.0
       }
     }
     bestT
@@ -263,13 +423,37 @@ object MonotonicSvm {
   private val memoGrowth = 256
   /** Marks a distance not yet computed; squared distances are >= 0 or NaN. */
   private val unknown = -1.0
+  /** Causes of a near-path refusal: a point with a NaN distance has rows;
+    * the near points hold fewer than k rows; they hold more than n / 8; a
+    * point beyond the reach might not underflow.
+    */
+  private[core] val RefusedNan     = 0
+  private[core] val RefusedFew     = 1
+  private[core] val RefusedCrowded = 2
+  private[core] val RefusedReach   = 3
 
-  /** One query embedding: its squared distance to each point id, and its
-    * threshold as of fit number `fit`.
+  /** A growable list of point ids. */
+  private final class IdList {
+    var ids = new Array[Int](16)
+    var size = 0
+    def add(id: Int): Unit = {
+      if (size == ids.length) ids = java.util.Arrays.copyOf(ids, 2 * size)
+      ids(size) = id
+      size += 1
+    }
+  }
+
+  /** One query embedding: its squared distance to each point id, its
+    * threshold as of fit number `fit`, and the point ids it has classified
+    * (the first `classified`) by distance: within `reach`, or NaN.
     */
   private final class Query(var dist: Array[Double]) {
     var fit = -1
     var t = 0.0
+    var reach = Double.NaN
+    var classified = 0
+    val near = new IdList
+    val nan = new IdList
   }
 }
 

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.dataflow._
 import repro.workloads.Workload
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
 /** Result of one tuning process (the reaction to one source-rate change):
@@ -100,12 +101,15 @@ final class StreamTuneSession(
   }
   private val states = scala.collection.mutable.Map.empty[Double, RateState]
 
+  /** T as M_f sees it: at most `fitCap` rows, the most recent plus earlier
+    * positives, in an array-backed sequence.
+    */
   private def fitRows: IndexedSeq[TrainRow] =
-    if (tData.size <= fitCap) tData.toIndexedSeq
+    if (tData.size <= fitCap) ArraySeq.unsafeWrapArray(tData.toArray)
     else {
       val recent = tData.takeRight(fitCap * 3 / 4)
       val earlierPos = tData.dropRight(fitCap * 3 / 4).filter(_.label == 1).takeRight(fitCap / 4)
-      (earlierPos ++ recent).toIndexedSeq
+      ArraySeq.unsafeWrapArray((earlierPos ++ recent).toArray)
     }
 
   /** The guard on operator `i`'s model answer `base`. Before any feedback at

@@ -288,6 +288,84 @@ class MonotonicSpec extends AnyFunSuite {
     assert(drops > 0, "the records never crossed the budget")
   }
 
+  test("SVM near-path thresholds match the reference across refits, drops, NaN arrivals and renumbering") {
+    // Every queried array has an inner shell of support points (squared
+    // distance about 6e-8), an outer one (about 5.4e-7) and no background
+    // point within R of the outer shell's bandwidth. 27 refits; each step
+    // says which path it drives.
+    val rng = new scala.util.Random(5)
+    def row(hv: Array[Double]): TrainRow = {
+      val p = 1 + rng.nextInt(99)
+      TrainRow(hv, p, if (p < 5 + 40 * hv(0)) 1 else 0)
+    }
+    def shell(c: Array[Double], r: Double): Array[Double] = c.map(x => if (rng.nextBoolean()) x + r else x - r)
+    val kept = (0 until 8).map(i => h(50000 + i))
+    val background = (0 until 1000).map(i => row(h(60000 + i)))
+    val inner = kept.flatMap(q => (0 until 20).map(_ => row(shell(q, 1e-4))))
+    val outer = kept.flatMap(q => (0 until 40).map(_ => row(shell(q, 3e-4))))
+    val own = scala.collection.mutable.ArrayBuffer[TrainRow]()
+    val m = new MonotonicSvm(dim)
+    import MonotonicSvm.{RefusedCrowded, RefusedFew, RefusedNan, RefusedReach}
+    // Per step, the thresholds taken on the near path and the refusals
+    // (NaN point, few near rows, crowded, reach); each query is asked twice,
+    // and the second answer comes from its record.
+    def counts: Seq[Long] =
+      m.nearThresholds +: Seq(RefusedNan, RefusedFew, RefusedCrowded, RefusedReach).map(m.refusals)
+    val q = kept.size.toLong
+    val nearPath = Seq(q, 0L, 0L, 0L, 0L)
+    var held = 0L
+    var drops = 0
+    def step(s: Int, data: IndexedSeq[TrainRow], extra: Seq[Array[Double]] = Nil): Seq[Long] = {
+      val before = counts
+      m.fit(data)
+      val queries = kept ++ extra
+      val want = queries.map(q => java.lang.Double.doubleToLongBits(referenceThreshold(data.toArray, dim, q)))
+      for (order <- Seq(queries.indices, queries.indices.reverse)) {
+        val got = order.map { i =>
+          val bits = java.lang.Double.doubleToLongBits(m.threshold(queries(i)))
+          if (m.memoSize < held) drops += 1
+          held = m.memoSize
+          bits
+        }
+        assert(got == order.map(want), s"step $s, ${data.size} rows")
+      }
+      counts.lazyZip(before).map(_ - _)
+    }
+    // Step 0: first thresholds, full passes; R comes from the inner shell.
+    assert(step(0, background ++ outer ++ inner) == Seq(0L, 0L, 0L, 0L, 0L))
+    // Steps 1-9: a row at every queried array and a new point inside R per
+    // query and step; a NaN embedding arrives at step 4, after the records.
+    for (s <- 1 to 9) {
+      own ++= kept.flatMap(q => Seq(row(q), row(shell(q, 1e-4))))
+      val nan = if (s == 4) Seq(row(Array.fill(dim)(Double.NaN))) else Nil
+      assert(step(s, background ++ outer ++ inner ++ own ++ nan) ==
+        (if (s == 4) Seq(0L, q, 0L, 0L, 0L) else nearPath), s"step $s")
+    }
+    // Step 10: a cap drops the inner shell and the rows at the queried
+    // arrays, so the bandwidth grows past R; the outer shell is still near.
+    assert(step(10, background ++ outer) == Seq(0L, 0L, 0L, 0L, q))
+    // Steps 11-20: rows at the queried arrays again, 2 per step.
+    own.clear()
+    for (s <- 11 to 20) {
+      own ++= kept.flatMap(q => Seq(row(q), row(q)))
+      assert(step(s, background ++ outer ++ own) == nearPath, s"step $s")
+    }
+    // Step 21: only the background is left; no near point has a row. The
+    // full pass's wide bandwidth puts every point within R.
+    assert(step(21, background) == Seq(0L, 0L, q, 0L, 0L))
+    // Step 22: the near points hold every row, so the full pass runs and
+    // records a tight list. 600 more query arrays take the records past the
+    // budget, so the points are renumbered and the kept queries' records
+    // rebuilt.
+    own.clear()
+    assert(step(22, background ++ outer, extra = (0 until 600).map(i => h(70000 + i))) == Seq(0L, 0L, 0L, q, 0L))
+    assert(drops > 0, "the records never crossed the budget")
+    for (s <- 23 to 26) {
+      own ++= kept.map(row)
+      assert(step(s, background ++ outer ++ own) == nearPath, s"step $s")
+    }
+  }
+
   test("exp(-x) is exactly +0.0 beyond 746, the SVM's kernel-weight cut-off") {
     val fine = (0 to 20000).map(i => 746.0 + i * 0.005)
     val coarse = Iterator.iterate(756.0)(_ * 1.01).takeWhile(_ <= 1e300).toSeq
