@@ -56,30 +56,50 @@ object FineTuneModel {
   * axis, with monotonicity (probability non-increasing in p) holding by
   * construction for every h.
   *
-  * `fit` orders the support set by p once, with a stable counting sort, in
-  * O(n + max p), and gives every distinct support array (by identity) a
-  * point id that stays the same across refits; it indexes the rows by point
-  * id (ascending positions per id). Each query array keeps one record: its
-  * threshold at the latest fit, its squared distance to every point id it
-  * has met, computed once per (query, point) pair, and its near list.
+  * The support set is ordered by p (ties in input order). Every distinct
+  * support array (by identity) has a point id that stays the same across
+  * refits, and `fit` indexes the rows by point id. A refit finds the
+  * previous fit's rows with a forward identity cursor. Each p group is then
+  * its kept rows, copied from the previous support arrays in their order,
+  * followed by its new rows in input order, so only new rows take a hash
+  * lookup; the first fit is the case where every row is new. A point's
+  * coordinates are copied once, when it gets its id, into one array in id
+  * order, which the distance loops read.
   *
-  * A query's first threshold is a full O(n) pass: the k-th smallest
-  * distance from a k-slot buffer, kernel weights, and the cut sweep, in
-  * reused primitive buffers. A row whose exponent is beyond -746 weighs
-  * exactly 0.0 (`exp` underflows there); the sweep skips it, which leaves
-  * every error it compares unchanged. The pass records the near list: the
-  * point ids within the reach R = 2 * 1492 * sigma^2, twice the squared
-  * distance at which a weight underflows. Every later threshold files the
-  * points added since, then works on the near points' rows alone: the
-  * bandwidth from their distances, then the sweep over their rows that
-  * can weigh more than 0.0, in support order. That gives the full pass's
-  * bits as long as the near rows hold the k nearest, every point beyond R
-  * still underflows (R / (2 sigma^2) > 746), and no point with a NaN
-  * distance has rows; otherwise the threshold falls back to a full pass,
-  * which records the list afresh. It also falls back when the near points
-  * hold more than n / 8 rows, where sorting them would cost more than the
-  * pass. So a threshold costs time in proportion to the rows the kernel
-  * reaches, not to n.
+  * Each query array keeps one record: its threshold at the latest fit, its
+  * squared distance to each point id it has met (computed once) or a lower
+  * bound on that distance, and its near list, the point ids within the
+  * reach R = 2 * 1492 * sigma^2, twice the squared distance at which a
+  * weight underflows. A row whose exponent is beyond -746 weighs exactly
+  * 0.0 (`exp` underflows there); the sweep skips it, which leaves every
+  * error it compares unchanged.
+  *
+  * A query's first threshold takes the recorded query nearest to it as a
+  * pivot. The k-th smallest distance over the rows of the pivot's near
+  * points bounds sigma^2, and so R, from above (R_up). By the triangle
+  * inequality a point lies at least its distance (or bound) from the pivot
+  * minus delta, the query's distance from the pivot, from the query; a
+  * relative margin of 1e-9 on each operand covers the rounding, which
+  * scales with the larger of them. A point whose bound exceeds sqrt(R_up)
+  * by the margin keeps the bound instead of a distance. It is not among
+  * the k nearest, since at least k rows lie within R_up, it is not within
+  * R, and its weight underflows; so sigma^2, the near list and the sweep
+  * have the bits of a pass over every point. Without a pivot, with a NaN
+  * delta, or with fewer than k rows near the pivot, every distance is
+  * computed. A first pass computes its missing distances four points to a
+  * loop, each summed in the same order.
+  *
+  * Every later threshold files the points added since, then works on the
+  * near points' rows alone: the bandwidth from their distances, then the
+  * sweep over their rows that can weigh more than 0.0, put back in support
+  * order through a position bitmap. That gives the first pass's bits as
+  * long as the near rows hold the k nearest, every point beyond R still
+  * underflows (R / (2 sigma^2) > 746), and no point with a NaN distance has
+  * rows; otherwise the threshold is taken by a first pass again, which
+  * records the list afresh. So a later threshold costs time in proportion
+  * to the points and rows the kernel reaches, not to n; a first pass still
+  * reads every point's entry, but computes only the distances its bound
+  * does not rule out.
   *
   * Embedding arrays are taken to be immutable, as the identity keys
   * require. The records are dropped and the points renumbered when they
@@ -98,33 +118,55 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   private var ps: Array[Int] = Array.empty
   private var positive: Array[Boolean] = Array.empty
   private var ids: Array[Int] = Array.empty
-  private var groupEnd: Array[Int] = Array.empty
+  private var groupEnd: Array[Int] = Array(0)
   // The rows by point id: point `id` has the positions
   // rowsAt(rowStart(id) until rowStart(id + 1)), ascending.
   private var rowStart: Array[Int] = Array(0)
   private var rowsAt: Array[Int] = Array.empty
   private var fits = 0
-  // The previous fit's rows in input order, with their point ids: a refit
-  // on the same rows plus appended ones, as a session's history grows,
-  // finds each kept row's id without a hash lookup.
+  // The previous fit's rows in input order, and each row's support position.
   private var lastRows: Array[TrainRow] = Array.empty
-  private var lastIds: Array[Int] = Array.empty
+  private var lastPos: Array[Int] = Array.empty
   // Point ids of the support arrays met since the last renumbering, and
-  // each id's array.
+  // point `id`'s coordinates at coords(id * embedDim until (id + 1) * embedDim),
+  // one run per point, so distances read the points in id order.
   private val pointIds = new java.util.IdentityHashMap[Array[Double], Integer]()
-  private var points: Array[Array[Double]] = Array.empty
+  private var coords: Array[Double] = Array.empty
   private val queries = new java.util.IdentityHashMap[Array[Double], Query]()
+  // The records in the order they were made: the pivot candidates.
+  private val pivots = scala.collection.mutable.ArrayBuffer[Query]()
   private var held = 0L // distances held by all query records
   private[core] def memoSize: Long = held
-  // Thresholds taken on the near path, and its refusals by cause.
+  // Thresholds taken without a distance to every point (near path, or a
+  // first pass under a pivot bound), near-path refusals by cause, and
+  // points a first pass gave a bound beyond R in place of a distance.
   private var nearHits = 0L
-  private val refused = new Array[Long](4)
+  private val refused = new Array[Long](3)
+  private var beyondMarks = 0L
   private[core] def nearThresholds: Long = nearHits
   private[core] def refusals(cause: Int): Long = refused(cause)
-  // Per-threshold scratch: squared distances, then kernel weights in place,
-  // and the positions of the rows the sweep reads.
+  private[core] def markedBeyond: Long = beyondMarks
+  // For tests: the support rows in order, and the arrays in a query's near
+  // list.
+  private[core] def support: IndexedSeq[(Array[Double], Int, Boolean)] =
+    hs.indices.map(i => (hs(i), ps(i), positive(i)))
+  private[core] def nearPoints(h: Array[Double]): IndexedSeq[Array[Double]] = {
+    val q = queries.get(h)
+    if (q == null) IndexedSeq.empty
+    else {
+      val byId = new Array[Array[Double]](pointIds.size)
+      pointIds.forEach((a, id) => byId(id) = a)
+      (0 until q.near.size).map(i => byId(q.near.ids(i)))
+    }
+  }
+  // Per-threshold scratch: kernel weights by position, the positions of
+  // the rows the sweep reads, a bitmap that orders them, and the point ids
+  // a first pass meets and those it computes a distance to.
   private var weights: Array[Double] = Array.empty
+  private var met: Array[Int] = Array.empty
+  private var todo: Array[Int] = Array.empty
   private var reached: Array[Int] = Array.empty
+  private var reachedBits: Array[Long] = Array.empty
   private val nearest = new Array[Double](kNeighbors)
 
   override def fit(data: IndexedSeq[TrainRow]): Unit = {
@@ -137,49 +179,91 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
       if (p > maxP) maxP = p
       i += 1
     }
-    // Stable counting sort: start(p) is the first slot of parallelism p,
-    // and the end of its group once the rows are placed.
-    val start = new Array[Int](maxP + 2)
-    i = 0
-    while (i < n) { start(data(i).p + 1) += 1; i += 1 }
-    var p = 1
-    while (p <= maxP) { start(p + 1) += start(p); p += 1 }
-    hs = new Array[Array[Double]](n)
-    ps = new Array[Int](n)
-    positive = new Array[Boolean](n)
-    ids = new Array[Int](n)
+    // The previous fit's rows met again, in order: keptAt(pos) is the input
+    // index of the previous support row at pos, or -1. A row the cursor
+    // does not find ends the search; it and every later row count as new,
+    // so every new row comes after every kept one.
+    val (prev, prevPos, oldN) = (lastRows, lastPos, ps.length)
     val rows = new Array[TrainRow](n)
-    val rowIds = new Array[Int](n)
+    val keptAt = new Array[Int](oldN)
+    java.util.Arrays.fill(keptAt, -1)
+    val fresh = new Array[Int](n)
+    var nFresh = 0
+    val nKept = new Array[Int](maxP + 2)
+    val nNew = new Array[Int](maxP + 2)
+    var cursor = 0
     i = 0
     while (i < n) {
       val r = data(i)
-      val id = if (i < lastRows.length && (lastRows(i) eq r)) lastIds(i) else pointId(r.h)
-      val at = start(r.p)
-      start(r.p) = at + 1
-      hs(at) = r.h
-      ps(at) = r.p
-      positive(at) = r.label == 1
-      ids(at) = id
       rows(i) = r
-      rowIds(i) = id
+      while (cursor < prev.length && !(prev(cursor) eq r)) cursor += 1
+      if (cursor < prev.length) { keptAt(prevPos(cursor)) = i; cursor += 1; nKept(r.p) += 1 }
+      else { fresh(nFresh) = i; nFresh += 1; nNew(r.p) += 1 }
       i += 1
     }
-    groupEnd = start
+    // Each p group: its kept rows in their previous order, then its new rows
+    // in input order, as a stable sort of the input by p would place them.
+    // keptNext(p) and newNext(p) are the next slots of each; newNext(p) ends
+    // at the end of p's group, the next larger p's first row.
+    val keptNext = new Array[Int](maxP + 2)
+    val newNext = new Array[Int](maxP + 2)
+    var at = 0
+    var p = 1
+    while (p <= maxP + 1) {
+      keptNext(p) = at
+      newNext(p) = at + nKept(p)
+      at += nKept(p) + nNew(p)
+      p += 1
+    }
+    val nHs = new Array[Array[Double]](n)
+    val nPs = new Array[Int](n)
+    val nPositive = new Array[Boolean](n)
+    val nIds = new Array[Int](n)
+    val pos = new Array[Int](n)
+    var old = 0
+    while (old < oldN) {
+      val kept = keptAt(old)
+      if (kept >= 0) {
+        val g = ps(old)
+        at = keptNext(g)
+        keptNext(g) = at + 1
+        nHs(at) = hs(old); nPs(at) = g; nPositive(at) = positive(old); nIds(at) = ids(old)
+        pos(kept) = at
+      }
+      old += 1
+    }
+    var f = 0
+    while (f < nFresh) {
+      val r = rows(fresh(f))
+      at = newNext(r.p)
+      newNext(r.p) = at + 1
+      nHs(at) = r.h; nPs(at) = r.p; nPositive(at) = r.label == 1; nIds(at) = pointId(r.h)
+      pos(fresh(f)) = at
+      f += 1
+    }
+    hs = nHs; ps = nPs; positive = nPositive; ids = nIds; groupEnd = newNext
     lastRows = rows
-    lastIds = rowIds
+    lastPos = pos
     index()
-    if (weights.length < n) { weights = new Array[Double](n); reached = new Array[Int](n) }
+    if (weights.length < n) {
+      weights = new Array[Double](n)
+      reached = new Array[Int](n)
+      reachedBits = new Array[Long]((n + 63) >>> 6)
+    }
     fits += 1
   }
 
+  /** The point id of support array h. A new array takes the next id and
+    * copies its coordinates into `coords`.
+    */
   private def pointId(h: Array[Double]): Int = {
     val known = pointIds.get(h)
     if (known != null) known.intValue()
     else {
       val id = pointIds.size
       pointIds.put(h, id)
-      if (id == points.length) points = java.util.Arrays.copyOf(points, math.max(64, 2 * id))
-      points(id) = h
+      if ((id + 1) * embedDim > coords.length) coords = java.util.Arrays.copyOf(coords, math.max(64, 2 * id) * embedDim)
+      System.arraycopy(h, 0, coords, id * embedDim, embedDim)
       id
     }
   }
@@ -206,10 +290,9 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
   /** Drops every query record and numbers the current support arrays from 0. */
   private def renumber(): Unit = {
     queries.clear()
+    pivots.clear()
     held = 0
     pointIds.clear()
-    points = new Array[Array[Double]](points.length)
-    lastRows = Array.empty
     var i = 0
     while (i < hs.length) { ids(i) = pointId(hs(i)); i += 1 }
     index()
@@ -229,7 +312,7 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     val dist = if (q == null) new Array[Double](size) else java.util.Arrays.copyOf(q.dist, size)
     java.util.Arrays.fill(dist, have, size, unknown)
     held += size - have
-    if (q == null) { val fresh = new Query(dist); queries.put(h, fresh); fresh }
+    if (q == null) { val fresh = new Query(h, dist); queries.put(h, fresh); pivots += fresh; fresh }
     else { q.dist = dist; q }
   }
 
@@ -240,7 +323,7 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     val q = record(h)
     if (q.fit != fits) {
       val t = if (q.fit < 0) Double.NaN else nearThreshold(h, q)
-      q.t = if (java.lang.Double.isNaN(t)) fullThreshold(h, q) else t
+      q.t = if (java.lang.Double.isNaN(t)) firstThreshold(h, q) else t
       q.fit = fits
     }
     q.t
@@ -250,6 +333,40 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     var s = 0.0; var j = 0
     while (j < embedDim) { val d = h(j) - hi(j); s += d * d; j += 1 }
     s
+  }
+
+  /** The squared distance from h to point `id`, summed as `distance` sums. */
+  private def distanceTo(h: Array[Double], id: Int): Double = {
+    val x = coords
+    val a = id * embedDim
+    var s = 0.0; var j = 0
+    while (j < embedDim) { val d = h(j) - x(a + j); s += d * d; j += 1 }
+    s
+  }
+
+  /** Sets dist(id) to the squared distance from h for each id in
+    * todo(0 until m). Four points share a loop, which runs their sums side
+    * by side, each in the order of `distance`, so the bits are its bits.
+    */
+  private def measure(h: Array[Double], dist: Array[Double], m: Int): Unit = {
+    val x = coords
+    val dim = embedDim
+    var i = 0
+    while (i + 4 <= m) {
+      val a = todo(i) * dim; val b = todo(i + 1) * dim
+      val c = todo(i + 2) * dim; val d = todo(i + 3) * dim
+      var sa = 0.0; var sb = 0.0; var sc = 0.0; var sd = 0.0
+      var j = 0
+      while (j < dim) {
+        val hj = h(j)
+        val da = hj - x(a + j); val db = hj - x(b + j); val dc = hj - x(c + j); val dd = hj - x(d + j)
+        sa += da * da; sb += db * db; sc += dc * dc; sd += dd * dd
+        j += 1
+      }
+      dist(todo(i)) = sa; dist(todo(i + 1)) = sb; dist(todo(i + 2)) = sc; dist(todo(i + 3)) = sd
+      i += 4
+    }
+    while (i < m) { dist(todo(i)) = distanceTo(h, todo(i)); i += 1 }
   }
 
   /** Puts distance `s` among the k smallest, held in ascending order in
@@ -263,44 +380,174 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     now
   }
 
-  /** The threshold from a pass over every support row; records q's near
-    * list.
+  /** Counts point `id`'s rows, each at distance `s`, among the k smallest. */
+  private def keepRows(id: Int, s: Double, kept: Int, k: Int): Int = {
+    var c = rowStart(id + 1) - rowStart(id)
+    var now = kept
+    while (c > 0 && (now < k || s < nearest(k - 1))) { now = keepNearest(s, now, k); c -= 1 }
+    now
+  }
+
+  /** Gives point `id`'s rows the weight exp(-x) and marks them reached,
+    * unless x > 746, where the weight is exactly 0.0. A NaN weight is kept.
     */
-  private def fullThreshold(h: Array[Double], q: Query): Double = {
+  private def weigh(id: Int, x: Double): Unit = {
+    var r = rowStart(id)
+    val end = rowStart(id + 1)
+    if (r < end && !(x > 746.0)) {
+      val wt = math.exp(-x)
+      while (r < end) {
+        val pos = rowsAt(r)
+        weights(pos) = wt
+        reachedBits(pos >>> 6) |= 1L << pos
+        r += 1
+      }
+    }
+  }
+
+  /** The marked positions, ascending, into `reached`; clears the bitmap and
+    * returns how many there are.
+    */
+  private def gather(): Int = {
+    val bits = reachedBits
+    val words = (ps.length + 63) >>> 6
+    var m = 0
+    var word = 0
+    while (word < words) {
+      var b = bits(word)
+      if (b != 0L) {
+        bits(word) = 0L
+        while (b != 0L) {
+          reached(m) = (word << 6) | java.lang.Long.numberOfTrailingZeros(b)
+          m += 1
+          b &= b - 1
+        }
+      }
+      word += 1
+    }
+    m
+  }
+
+  /** The recorded query other than q nearest to h with a reach, or null
+    * (the first of equals).
+    */
+  private def pivotFor(h: Array[Double], q: Query): Query = {
+    var best: Query = null
+    var bestS = Double.PositiveInfinity
+    var i = 0
+    while (i < pivots.length) {
+      val c = pivots(i)
+      if (!(c eq q) && !java.lang.Double.isNaN(c.reach)) {
+        val s = distance(h, c.h)
+        if (s < bestS) { best = c; bestS = s }
+      }
+      i += 1
+    }
+    best
+  }
+
+  /** The threshold from every point's distance, or a bound that puts the
+    * point beyond R; records q's near list.
+    */
+  private def firstThreshold(h: Array[Double], q: Query): Double = {
     val n = ps.length
     if (n == 0) return -0.5
     val dist = q.dist
-    val w = weights
-    // Adaptive RBF bandwidth: squared distance to the k-th nearest row. A
-    // NaN distance is never kept, as if sorted after every number.
+    val count = pointIds.size
     val k = math.max(1, math.min(kNeighbors, n - 1))
-    var kept = 0
-    var i = 0
-    while (i < n) {
-      val id = ids(i)
-      var s = dist(id)
-      if (s == unknown) { s = distance(h, hs(i)); dist(id) = s }
-      w(i) = s
-      if (if (kept < k) !java.lang.Double.isNaN(s) else s < nearest(k - 1)) kept = keepNearest(s, kept, k)
-      i += 1
-    }
+    if (met.length < count) { met = new Array[Int](count + memoGrowth); todo = new Array[Int](count + memoGrowth) }
+    val pivot = pivotFor(h, q)
+    val delta = if (pivot == null) Double.NaN else math.sqrt(distance(h, pivot.h))
+    val rootCut = if (java.lang.Double.isNaN(delta)) Double.PositiveInfinity else cutFrom(h, dist, pivot.near, k)
+    // Every point's distance, or a lower bound on it beyond rootCut (and so
+    // beyond R); the bandwidth as before, each point counted once per row.
+    // A NaN distance is never kept.
+    val bounded = rootCut < Double.PositiveInfinity
+    val nMet = sift(h, dist, count, if (bounded) pivot.dist else Array.emptyDoubleArray, delta, rootCut)
+    val kept = keepMet(dist, nMet, k)
     val sigma2 = math.max(1e-9, if (kept == k) nearest(k - 1) else Double.NaN)
     q.reach = 2.0 * 1492.0 * sigma2
     q.near.size = 0
     q.nan.size = 0
-    q.classified = 0
-    classify(h, q)
-    // Kernel weights; exp(-x) is exactly 0.0 for x > 746, so those rows are
-    // left out of the sweep. A NaN weight is kept.
-    val at = reached
-    var m = 0
-    i = 0
-    while (i < n) {
-      val x = w(i) / (2.0 * sigma2)
-      if (!(x > 746.0)) { w(i) = math.exp(-x); at(m) = i; m += 1 }
+    var i = 0
+    while (i < nMet) {
+      val id = met(i)
+      val s = dist(id)
+      if (s <= q.reach) q.near.add(id)
+      else if (java.lang.Double.isNaN(s)) q.nan.add(id)
+      weigh(id, s / (2.0 * sigma2))
       i += 1
     }
-    sweep(m)
+    q.classified = count
+    if (bounded) nearHits += 1
+    sweep(gather())
+  }
+
+  /** The pivot's cut, sqrt(R_up) with the margin: R_up = 2 * 1492 times the
+    * k-th smallest distance from h over the rows of the pivot's near points,
+    * which is at least sigma^2; +inf if those rows are fewer than k.
+    */
+  private def cutFrom(h: Array[Double], dist: Array[Double], near: IdList, k: Int): Double = {
+    var m = 0
+    var i = 0
+    while (i < near.size) { val id = near.ids(i); if (dist(id) < 0.0) { todo(m) = id; m += 1 }; i += 1 }
+    measure(h, dist, m)
+    var kept = 0
+    i = 0
+    while (i < near.size) {
+      val id = near.ids(i)
+      val s = dist(id)
+      if (!java.lang.Double.isNaN(s)) kept = keepRows(id, s, kept, k)
+      i += 1
+    }
+    if (kept == k) math.sqrt(2.0 * 1492.0 * math.max(1e-9, nearest(k - 1))) * (1.0 + margin)
+    else Double.PositiveInfinity
+  }
+
+  /** Puts into `met` every point id that is not beyond rootCut and gives it
+    * its distance from h if it has none; gives each point beyond rootCut
+    * its bound instead. Returns how many are met.
+    */
+  private def sift(h: Array[Double], dist: Array[Double], count: Int, pd: Array[Double], delta: Double,
+      rootCut: Double): Int = {
+    var nMet = 0
+    var m = 0
+    var id = 0
+    while (id < count) {
+      val s = dist(id)
+      var beyond = false
+      if (s < 0.0) {
+        // The triangle inequality through the pivot, with a rounding margin
+        // on both operands.
+        var lo = -1.0 - s
+        if (id < pd.length) {
+          val sp = pd(id)
+          val below = (if (sp >= 0.0) math.sqrt(sp) else -1.0 - sp) * (1.0 - margin) - delta * (1.0 + margin)
+          if (below > lo) lo = below
+        }
+        beyond = lo > rootCut
+        if (beyond) { dist(id) = -1.0 - lo; beyondMarks += 1 }
+        else { todo(m) = id; m += 1 }
+      }
+      if (!beyond) { met(nMet) = id; nMet += 1 }
+      id += 1
+    }
+    measure(h, dist, m)
+    nMet
+  }
+
+  /** Counts the rows of the met points among the k smallest; returns how
+    * many are held.
+    */
+  private def keepMet(dist: Array[Double], nMet: Int, k: Int): Int = {
+    var kept = 0
+    var i = 0
+    while (i < nMet) {
+      val s = dist(met(i))
+      if (s >= 0.0) kept = keepRows(met(i), s, kept, k)
+      i += 1
+    }
+    kept
   }
 
   /** Files the point ids q has not met yet under its near or NaN list. */
@@ -310,7 +557,7 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     var id = q.classified
     while (id < count) {
       var s = dist(id)
-      if (s == unknown) { s = distance(h, points(id)); dist(id) = s }
+      if (s < 0.0) { s = distanceTo(h, id); dist(id) = s }
       if (s <= q.reach) q.near.add(id)
       else if (java.lang.Double.isNaN(s)) q.nan.add(id)
       id += 1
@@ -318,7 +565,7 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
     q.classified = count
   }
 
-  /** The full pass's threshold from the rows of q's near points alone, or
+  /** The first pass's threshold from the rows of q's near points alone, or
     * NaN where those rows might not decide it.
     */
   private def nearThreshold(h: Array[Double], q: Query): Double = {
@@ -333,45 +580,18 @@ final class MonotonicSvm(embedDim: Int) extends FineTuneModel {
       if (rowStart(id + 1) > rowStart(id)) { refused(RefusedNan) += 1; return Double.NaN }
       i += 1
     }
-    // The bandwidth as in the full pass, each near point counted once per
-    // row; every other row lies beyond R.
+    // The bandwidth as in the first pass; every other row lies beyond R.
     val k = math.max(1, math.min(kNeighbors, n - 1))
     var kept = 0
-    var nearRows = 0
     i = 0
-    while (i < nNear) {
-      val id = near(i)
-      val s = dist(id)
-      var c = rowStart(id + 1) - rowStart(id)
-      nearRows += c
-      while (c > 0 && (kept < k || s < nearest(k - 1))) { kept = keepNearest(s, kept, k); c -= 1 }
-      i += 1
-    }
+    while (i < nNear) { val id = near(i); kept = keepRows(id, dist(id), kept, k); i += 1 }
     if (kept < k) { refused(RefusedFew) += 1; return Double.NaN }
-    // Sorting that many positions costs more than the full pass, which also
-    // records a list as tight as the current bandwidth allows.
-    if (nearRows > n / 8) { refused(RefusedCrowded) += 1; return Double.NaN }
     val sigma2 = math.max(1e-9, nearest(k - 1))
     if (!(q.reach / (2.0 * sigma2) > 746.0)) { refused(RefusedReach) += 1; return Double.NaN }
-    // The rows whose weight can be nonzero, in support order.
-    val w = weights
-    val at = reached
-    var m = 0
     i = 0
-    while (i < nNear) {
-      val id = near(i)
-      val x = dist(id) / (2.0 * sigma2)
-      if (!(x > 746.0)) {
-        val wt = math.exp(-x)
-        var r = rowStart(id)
-        val end = rowStart(id + 1)
-        while (r < end) { val pos = rowsAt(r); w(pos) = wt; at(m) = pos; m += 1; r += 1 }
-      }
-      i += 1
-    }
-    java.util.Arrays.sort(at, 0, m)
+    while (i < nNear) { val id = near(i); weigh(id, dist(id) / (2.0 * sigma2)); i += 1 }
     nearHits += 1
-    sweep(m)
+    sweep(gather())
   }
 
   /** Sweeps the cut over sorted log-parallelism values and returns the one
@@ -421,16 +641,22 @@ object MonotonicSvm {
   val memoBudget: Long = 1L << 20
   /** Slots a query record grows by beyond the current point count. */
   private val memoGrowth = 256
-  /** Marks a distance not yet computed; squared distances are >= 0 or NaN. */
-  private val unknown = -1.0
-  /** Causes of a near-path refusal: a point with a NaN distance has rows;
-    * the near points hold fewer than k rows; they hold more than n / 8; a
-    * point beyond the reach might not underflow.
+  /** A record's entry for a point with no distance yet: an entry e < 0 says
+    * the distance (not squared) is at least -1 - e, so `unknown` says
+    * nothing. Squared distances are >= 0 or NaN. A bound is stored only
+    * beyond sqrt(2 * 1492 * 1e-9) > 0.0017, where -1 - e keeps it to 1.3e-13
+    * of itself, well inside `margin`.
     */
-  private[core] val RefusedNan     = 0
-  private[core] val RefusedFew     = 1
-  private[core] val RefusedCrowded = 2
-  private[core] val RefusedReach   = 3
+  private val unknown = -1.0
+  /** The relative rounding margin of the pivot bound. */
+  private val margin = 1e-9
+  /** Causes of a near-path refusal: a point with a NaN distance has rows;
+    * the near points hold fewer than k rows; a point beyond the reach might
+    * not underflow.
+    */
+  private[core] val RefusedNan   = 0
+  private[core] val RefusedFew   = 1
+  private[core] val RefusedReach = 2
 
   /** A growable list of point ids. */
   private final class IdList {
@@ -443,11 +669,13 @@ object MonotonicSvm {
     }
   }
 
-  /** One query embedding: its squared distance to each point id, its
-    * threshold as of fit number `fit`, and the point ids it has classified
-    * (the first `classified`) by distance: within `reach`, or NaN.
+  /** One query embedding `h`: its squared distance to each point id or a
+    * bound on it (see `unknown`), its threshold as of fit number `fit`, and
+    * the point ids it has classified (the first `classified`) by distance:
+    * within `reach`, or NaN. Every point with a bound lies farther than
+    * `reach`.
     */
-  private final class Query(var dist: Array[Double]) {
+  private final class Query(val h: Array[Double], var dist: Array[Double]) {
     var fit = -1
     var t = 0.0
     var reach = Double.NaN

@@ -101,16 +101,7 @@ final class StreamTuneSession(
   }
   private val states = scala.collection.mutable.Map.empty[Double, RateState]
 
-  /** T as M_f sees it: at most `fitCap` rows, the most recent plus earlier
-    * positives, in an array-backed sequence.
-    */
-  private def fitRows: IndexedSeq[TrainRow] =
-    if (tData.size <= fitCap) ArraySeq.unsafeWrapArray(tData.toArray)
-    else {
-      val recent = tData.takeRight(fitCap * 3 / 4)
-      val earlierPos = tData.dropRight(fitCap * 3 / 4).filter(_.label == 1).takeRight(fitCap / 4)
-      ArraySeq.unsafeWrapArray((earlierPos ++ recent).toArray)
-    }
+  private def fitRows: IndexedSeq[TrainRow] = StreamTuneSession.fitRows(tData, fitCap)
 
   /** The guard on operator `i`'s model answer `base`. Before any feedback at
     * this rate, the first-contact recommendation carries a small headroom,
@@ -208,4 +199,29 @@ final class StreamTuneSession(
     }
     ProcessResult(par, reconfigs, if (run.jobBackpressure) 1 else 0, run)
   }
+}
+
+object StreamTuneSession {
+  /** T as M_f sees it, in an array-backed sequence: all of T up to `cap`
+    * rows; beyond it the most recent 3/4 cap rows, after the last cap/4
+    * positives that precede them, in T's order.
+    */
+  private[core] def fitRows(t: ArrayBuffer[TrainRow], cap: Int): IndexedSeq[TrainRow] =
+    if (t.size <= cap) ArraySeq.unsafeWrapArray(t.toArray)
+    else {
+      val recent = t.size - cap * 3 / 4 // where the recent rows start
+      // The first of the last cap / 4 positives before them.
+      var from = recent
+      var nPos = 0
+      while (from > 0 && nPos < cap / 4) { from -= 1; if (t(from).label == 1) nPos += 1 }
+      val out = new Array[TrainRow](nPos + cap * 3 / 4)
+      var at = 0
+      var i = from
+      while (i < t.size) {
+        val r = t(i)
+        if (i >= recent || r.label == 1) { out(at) = r; at += 1 }
+        i += 1
+      }
+      ArraySeq.unsafeWrapArray(out)
+    }
 }

@@ -5,25 +5,45 @@ package repro.dataflow
   * (seed, dag, operator, parallelism).
   */
 object DetRandom {
+  private val start = 0x9E3779B97F4A7C15L
+
+  /** Folds one part's hash code into the running hash `h`. */
+  private def step(h: Long, part: Int): Long = {
+    var x = part.toLong * 0xBF58476D1CE4E5B9L
+    x ^= (x >>> 27)
+    val g = (h ^ x) * 0x94D049BB133111EBL
+    g ^ (g >>> 31)
+  }
+
   def mix(parts: Any*): Long = {
-    var h = 0x9E3779B97F4A7C15L
-    parts.foreach { p =>
-      var x = p.hashCode.toLong * 0xBF58476D1CE4E5B9L
-      x ^= (x >>> 27)
-      h = (h ^ x) * 0x94D049BB133111EBL
-      h ^= (h >>> 31)
-    }
+    var h = start
+    parts.foreach(p => h = step(h, p.hashCode))
     h
   }
 
+  private def toUnit(h: Long): Double = (h >>> 11).toDouble / (1L << 53).toDouble
+
   /** Uniform in [0, 1). */
-  def unit(parts: Any*): Double = {
-    val h = mix(parts: _*)
-    ((h >>> 11).toDouble / (1L << 53).toDouble)
-  }
+  def unit(parts: Any*): Double = toUnit(mix(parts: _*))
 
   /** Uniform in [-1, 1]. */
   def signed(parts: Any*): Double = unit(parts: _*) * 2.0 - 1.0
+
+  /** `unit(seed, dag, op, p, epoch, tag)` without boxing: the same hash codes
+    * folded in the same order. The measurement draws of `Simulator.run`.
+    */
+  def unit(seed: Long, dag: String, op: String, p: Int, epoch: Long, tag: String): Double =
+    toUnit(suffix(step(prefix(seed, dag, op), p), epoch, tag))
+
+  /** `signed(seed, dag, op, epoch, tag)` without boxing. */
+  def signed(seed: Long, dag: String, op: String, epoch: Long, tag: String): Double =
+    toUnit(suffix(prefix(seed, dag, op), epoch, tag)) * 2.0 - 1.0
+
+  private def prefix(seed: Long, dag: String, op: String): Long =
+    step(step(step(start, java.lang.Long.hashCode(seed)), dag.hashCode), op.hashCode)
+
+  private def suffix(h: Long, epoch: Long, tag: String): Long =
+    step(step(h, java.lang.Long.hashCode(epoch)), tag.hashCode)
 }
 
 /** Execution substrate mode: which real system the simulator stands in for.

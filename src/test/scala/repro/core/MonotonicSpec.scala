@@ -305,14 +305,15 @@ class MonotonicSpec extends AnyFunSuite {
     val outer = kept.flatMap(q => (0 until 40).map(_ => row(shell(q, 3e-4))))
     val own = scala.collection.mutable.ArrayBuffer[TrainRow]()
     val m = new MonotonicSvm(dim)
-    import MonotonicSvm.{RefusedCrowded, RefusedFew, RefusedNan, RefusedReach}
-    // Per step, the thresholds taken on the near path and the refusals
-    // (NaN point, few near rows, crowded, reach); each query is asked twice,
-    // and the second answer comes from its record.
+    import MonotonicSvm.{RefusedFew, RefusedNan, RefusedReach}
+    // Per step, the thresholds taken on the near path or as a first pass
+    // under a pivot bound, and the near path's refusals (NaN point, few near
+    // rows, reach); each query is asked twice, and the second answer comes
+    // from its record.
     def counts: Seq[Long] =
-      m.nearThresholds +: Seq(RefusedNan, RefusedFew, RefusedCrowded, RefusedReach).map(m.refusals)
+      m.nearThresholds +: Seq(RefusedNan, RefusedFew, RefusedReach).map(m.refusals)
     val q = kept.size.toLong
-    val nearPath = Seq(q, 0L, 0L, 0L, 0L)
+    val nearPath = Seq(q, 0L, 0L, 0L)
     var held = 0L
     var drops = 0
     def step(s: Int, data: IndexedSeq[TrainRow], extra: Seq[Array[Double]] = Nil): Seq[Long] = {
@@ -331,38 +332,205 @@ class MonotonicSpec extends AnyFunSuite {
       }
       counts.lazyZip(before).map(_ - _)
     }
-    // Step 0: first thresholds, full passes; R comes from the inner shell.
-    assert(step(0, background ++ outer ++ inner) == Seq(0L, 0L, 0L, 0L, 0L))
+    // Step 0: first thresholds; R comes from the inner shell. The first
+    // query has no pivot; each later one takes an earlier one as its pivot.
+    assert(step(0, background ++ outer ++ inner) == Seq(q - 1, 0L, 0L, 0L))
     // Steps 1-9: a row at every queried array and a new point inside R per
-    // query and step; a NaN embedding arrives at step 4, after the records.
+    // query and step; a NaN embedding arrives at step 4, after the records,
+    // and each query takes a first pass again under a pivot bound.
     for (s <- 1 to 9) {
       own ++= kept.flatMap(q => Seq(row(q), row(shell(q, 1e-4))))
       val nan = if (s == 4) Seq(row(Array.fill(dim)(Double.NaN))) else Nil
       assert(step(s, background ++ outer ++ inner ++ own ++ nan) ==
-        (if (s == 4) Seq(0L, q, 0L, 0L, 0L) else nearPath), s"step $s")
+        (if (s == 4) Seq(q, q, 0L, 0L) else nearPath), s"step $s")
     }
     // Step 10: a cap drops the inner shell and the rows at the queried
-    // arrays, so the bandwidth grows past R; the outer shell is still near.
-    assert(step(10, background ++ outer) == Seq(0L, 0L, 0L, 0L, q))
+    // arrays, so the bandwidth grows past R; the outer shell is still near,
+    // and still near the pivots, so every first pass takes a pivot bound.
+    assert(step(10, background ++ outer) == Seq(q, 0L, 0L, q))
     // Steps 11-20: rows at the queried arrays again, 2 per step.
     own.clear()
     for (s <- 11 to 20) {
       own ++= kept.flatMap(q => Seq(row(q), row(q)))
       assert(step(s, background ++ outer ++ own) == nearPath, s"step $s")
     }
-    // Step 21: only the background is left; no near point has a row. The
-    // full pass's wide bandwidth puts every point within R.
-    assert(step(21, background) == Seq(0L, 0L, q, 0L, 0L))
-    // Step 22: the near points hold every row, so the full pass runs and
-    // records a tight list. 600 more query arrays take the records past the
-    // budget, so the points are renumbered and the kept queries' records
-    // rebuilt.
+    // Step 21: only the background is left; no near point has a row. A
+    // pivot whose near points have no rows gives no bound, so a query takes
+    // a full pass unless its nearest record has already taken one in this
+    // step (3 queries); the wide bandwidth puts every point within R.
+    assert(step(21, background) == Seq(3L, 0L, q, 0L))
+    // Step 22: the near points hold every row, and the near path takes them
+    // all. 600 more query arrays take the records past the budget, so the
+    // points are renumbered and the kept queries' records rebuilt. Every
+    // first pass but the one after each renumbering has a pivot.
     own.clear()
-    assert(step(22, background ++ outer, extra = (0 until 600).map(i => h(70000 + i))) == Seq(0L, 0L, 0L, q, 0L))
+    assert(step(22, background ++ outer, extra = (0 until 600).map(i => h(70000 + i))) == Seq(1184L, 0L, 0L, 0L))
     assert(drops > 0, "the records never crossed the budget")
     for (s <- 23 to 26) {
       own ++= kept.map(row)
       assert(step(s, background ++ outer ++ own) == nearPath, s"step $s")
+    }
+  }
+
+  test("SVM first thresholds under a pivot bound match the reference") {
+    // A tight cluster of support points at (0.1, ..., 0.1) and, at least
+    // 0.4 away in every coordinate, a background and three more clusters;
+    // two arrays hold a NaN. Each query says whether it has a pivot (a
+    // threshold counted without a distance to every point) and how many
+    // points its bound puts beyond R without a distance.
+    val rng = new scala.util.Random(13)
+    def row(hv: Array[Double]): TrainRow = {
+      val p = 1 + rng.nextInt(99)
+      TrainRow(hv, p, if (p < 5 + 40 * hv(0)) 1 else 0)
+    }
+    def near(c: Array[Double], r: Double): Array[Double] = c.map(_ + r * (2 * rng.nextDouble() - 1))
+    def far(seed: Int): Array[Double] = h(seed).map(0.5 + 0.5 * _)
+    val c0 = Array.fill(dim)(0.1)
+    val cluster = (0 until 30).map(_ => row(near(c0, 1e-3)))
+    val others = (0 until 3).flatMap(i => (0 until 30).map(_ => row(near(far(80000 + i), 1e-3))))
+    val background = (0 until 3000).map(i => row(far(81000 + i)))
+    val nan = Array.fill(dim)(Double.NaN)
+    val farPoints = (others ++ background).size.toLong
+    var data: IndexedSeq[TrainRow] =
+      background ++ cluster ++ others ++ Seq(row(nan), row(nan), row(far(82000).updated(2, Double.NaN)))
+    val m = new MonotonicSvm(dim)
+    m.fit(data)
+    def ask(q: Array[Double]): (Long, Long) = {
+      val (hits, marks) = (m.nearThresholds, m.markedBeyond)
+      val want = java.lang.Double.doubleToLongBits(referenceThreshold(data.toArray, dim, q))
+      assert(java.lang.Double.doubleToLongBits(m.threshold(q)) == want)
+      (m.nearThresholds - hits, m.markedBeyond - marks)
+    }
+    // No record yet: a full pass, which holds every distance.
+    val corner = c0.map(_ + 2e-3)
+    assert(ask(corner) == ((0L, 0L)))
+    // Its pivot is the first query; the stored distances put every far
+    // point beyond R.
+    assert(ask(c0.map(_ + 1e-3)) == ((1L, farPoints)))
+    // The centre: its pivot is the second query, whose record holds only
+    // lower bounds for the far points, and they put them beyond R again.
+    assert(ask(c0) == ((1L, farPoints)))
+    // delta = 0: an equal copy of the full pass's query, and of a query
+    // whose record holds bounds.
+    assert(ask(corner.clone()) == ((1L, farPoints)))
+    assert(ask(c0.clone()) == ((1L, farPoints)))
+    // A far query: the bound prunes nothing.
+    assert(ask(Array.fill(dim)(40.0)) == ((1L, 0L)))
+    // A query with a NaN coordinate: delta is NaN, so a full pass; its reach
+    // is NaN, so it is never a pivot.
+    assert(ask(c0.updated(0, Double.NaN)) == ((0L, 0L)))
+    assert(ask(corner.map(_ + 1e-5)) == ((1L, farPoints)))
+    // A refit adds points near the centre and in the background: the first
+    // query's record holds no distance to them, so they are computed.
+    data = data ++ (0 until 20).map(_ => row(near(c0, 5e-4))) ++ (0 until 200).map(i => row(far(83000 + i)))
+    m.fit(data)
+    assert(ask(corner.map(_ - 1e-5)) == ((1L, farPoints)))
+    // Enough queries to cross the memo budget: the points are renumbered
+    // and the records, pivots too, dropped, so the query that crossed takes
+    // a full pass, and the next one takes it as a pivot.
+    var held = m.memoSize
+    var renumbered = false
+    var i = 0
+    while (!renumbered) {
+      val q = near(c0, 1e-3)
+      val d = ask(q)
+      if (m.memoSize < held) {
+        renumbered = true
+        assert(d == ((0L, 0L)), s"query $i, at the renumbering")
+        assert(ask(q.map(_ + 1e-5)) == ((1L, farPoints + 200)))
+      } else assert(d._1 == 1L, s"query $i")
+      held = m.memoSize
+      i += 1
+    }
+  }
+
+  test("SVM pivot-bound first passes record the near list of a full pass") {
+    // A tight cluster with points spread at every radius up to 0.3 around
+    // it, so each query's R falls among them; the far background is left
+    // out by every bound.
+    val rng = new scala.util.Random(19)
+    def row(hv: Array[Double]): TrainRow = {
+      val p = 1 + rng.nextInt(99)
+      TrainRow(hv, p, if (p < 5 + 40 * hv(0)) 1 else 0)
+    }
+    val c = Array.fill(dim)(0.3)
+    val cluster = (0 until 30).map(_ => row(c.map(_ + 1e-3 * (2 * rng.nextDouble() - 1))))
+    val spread = (0 until 300).map { i =>
+      val dir = Array.fill(dim)(rng.nextGaussian())
+      val norm = math.sqrt(dir.map(x => x * x).sum)
+      row(c.indices.map(j => c(j) + 0.3 * (i + 1) / 300 * dir(j) / norm).toArray)
+    }
+    val background = (0 until 1000).map(i => row(h(84000 + i).map(0.6 + 0.4 * _)))
+    var data: IndexedSeq[TrainRow] = background ++ cluster ++ spread
+    val m = new MonotonicSvm(dim)
+    m.fit(data)
+    def arrays(a: Seq[Array[Double]]) = {
+      val set = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[Array[Double], java.lang.Boolean]())
+      a.foreach(set.add)
+      set
+    }
+    // The near points that have rows in this fit (a record keeps the ids of
+    // points whose rows are gone).
+    def same(a: Seq[Array[Double]], b: Seq[Array[Double]]): Boolean = {
+      val in = arrays(data.map(_.h))
+      arrays(a.filter(in.contains)) == arrays(b)
+    }
+    def ask(q: Array[Double]): Long = {
+      val hits = m.nearThresholds
+      val want = java.lang.Double.doubleToLongBits(referenceThreshold(data.toArray, dim, q))
+      assert(java.lang.Double.doubleToLongBits(m.threshold(q)) == want)
+      val full = new MonotonicSvm(dim)
+      full.fit(data)
+      full.threshold(q)
+      assert(same(m.nearPoints(q), full.nearPoints(q)), s"the near list of a full pass at ${q.toSeq}")
+      m.nearThresholds - hits
+    }
+    assert(ask(c.map(_ + 1.5e-3)) == 0L)
+    // Its pivot holds every distance; each later one holds bounds, and an
+    // equal copy of the centre has delta = 0.
+    assert(ask(c.clone()) == 1L)
+    assert(ask(c.map(_ - 1e-3)) == 1L)
+    assert(ask(c.map(_ + 1e-3)) == 1L)
+    assert(ask(c.clone()) == 1L)
+    // Only the five innermost spread rows are left near the cluster: the
+    // pivot's near points hold fewer than k rows, so a full pass.
+    data = background ++ spread.take(5)
+    m.fit(data)
+    assert(ask(c.map(_ + 1e-4)) == 0L)
+    // Nearest to that full pass's record, whose near points hold k rows.
+    assert(ask(c.map(_ + 1.5e-4)) == 1L)
+  }
+
+  test("SVM refits of every shape answer as a freshly fitted model and the reference") {
+    // Few distinct p values, so every p group holds rows from all over the
+    // input and its order decides the sweep's sums.
+    val rng = new scala.util.Random(17)
+    val arrays = (0 until 300).map(i => h(90000 + i))
+    def row(hv: Array[Double]): TrainRow = {
+      val p = 1 + rng.nextInt(8)
+      TrainRow(hv, p, if (rng.nextDouble() < (9 - p) / 9.0 * hv(0) + 0.1) 1 else 0)
+    }
+    val first = (0 until 1500).map(i => row(arrays(i % 300)))
+    val appended = first ++ (0 until 400).map(_ => row(arrays(rng.nextInt(300))))
+    // The session's cap: earlier positives, then the most recent rows.
+    val capped = appended.dropRight(900).filter(_.label == 1).takeRight(300) ++ appended.takeRight(900)
+    val subsequence = appended.filter(_ => rng.nextDouble() < 0.6)
+    val repeated = subsequence.flatMap(r => if (rng.nextInt(5) == 0) Seq(r, r) else Seq(r)) ++ subsequence.take(40)
+    val shuffled = rng.shuffle(repeated)
+    val allNew = shuffled.map(r => r.copy()) ++ (0 until 100).map(i => row(h(91000 + i)))
+    val queries = arrays.take(30) ++ (0 until 10).map(i => h(92000 + i))
+    val m = new MonotonicSvm(dim)
+    for ((name, data) <- Seq("first fit" -> first, "append" -> appended, "fitCap shape" -> capped,
+        "subsequence" -> subsequence, "repeated rows" -> repeated, "shuffled" -> shuffled,
+        "every row new" -> allNew, "again" -> allNew)) {
+      m.fit(data)
+      val fresh = new MonotonicSvm(dim)
+      fresh.fit(data)
+      val want = queries.map(q => java.lang.Double.doubleToLongBits(referenceThreshold(data.toArray, dim, q)))
+      assert(thresholdBits(m, queries) == want, name)
+      assert(thresholdBits(fresh, queries) == want, name)
+      assert(m.support.corresponds(fresh.support) { case ((h1, p1, l1), (h2, p2, l2)) =>
+        (h1 eq h2) && p1 == p2 && l1 == l2 }, s"$name: the support order")
     }
   }
 

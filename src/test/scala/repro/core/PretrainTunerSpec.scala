@@ -217,6 +217,21 @@ class TunerSpec extends AnyFunSuite {
     assert(r.parallelisms.values.forall(_ <= SimConstants.maxParallelismFlink))
   }
 
+  test("M_f's rows beyond the cap are the earlier positives, then the recent rows") {
+    // Against the selection as written with collection operations.
+    val rng = new scala.util.Random(21)
+    val hv = Array(0.5)
+    for (cap <- Seq(8, 9, 40, 9000); size <- Seq(cap - 1, cap, cap + 1, cap + 3, 2 * cap + 5, 5 * cap);
+         share <- Seq(0.0, 0.1, 0.9)) {
+      val t = ArrayBuffer.tabulate(size)(i => TrainRow(hv, 1 + i % 7, if (rng.nextDouble() < share) 1 else 0))
+      val want =
+        if (t.size <= cap) t.toVector
+        else t.dropRight(cap * 3 / 4).filter(_.label == 1).takeRight(cap / 4).toVector ++ t.takeRight(cap * 3 / 4)
+      val got = StreamTuneSession.fitRows(t, cap)
+      assert(got.length == want.length && got.indices.forall(i => got(i) eq want(i)), s"cap $cap, size $size, share $share")
+    }
+  }
+
   test("the fine-tuning dataset grows with feedback") {
     // Delegates to the SVM and records the size of every set M_f is fitted on.
     final class CountingModel(inner: FineTuneModel) extends FineTuneModel {

@@ -136,4 +136,23 @@ class DetRandomSpec extends AnyFunSuite {
     val vals = (0 until 500).map(i => DetRandom.mix("k", i)).toSet
     assert(vals.size == 500)
   }
+
+  test("the typed unit and signed give the bits of the varargs forms") {
+    import org.scalacheck.{Gen, Prop}
+    val genLong = Gen.oneOf(Gen.choose(Long.MinValue, Long.MaxValue), Gen.choose(-1000L, 1000L),
+      Gen.oneOf(0L, -1L, 1L << 32, -(1L << 32), Int.MaxValue.toLong + 1, Int.MinValue.toLong - 1,
+        Long.MaxValue, Long.MinValue))
+    val genInt = Gen.oneOf(Gen.choose(Int.MinValue, Int.MaxValue), Gen.choose(-5, 200))
+    val genId = Gen.oneOf(Gen.alphaNumStr, Gen.const(""), Gen.oneOf("src", "join", "Q5", "3-way-join-8"))
+    val bits = java.lang.Double.doubleToLongBits _
+    val prop = Prop.forAll(genLong, genId, genId, genInt, genLong, genId) { (seed, dag, op, p, epoch, tag) =>
+      val varUnit: Seq[Any] = Seq(seed, dag, op, p, epoch, tag)
+      val varSigned: Seq[Any] = Seq(seed, dag, op, epoch, tag)
+      bits(DetRandom.unit(seed, dag, op, p, epoch, tag)) == bits(DetRandom.unit(varUnit: _*)) &&
+        bits(DetRandom.signed(seed, dag, op, epoch, tag)) == bits(DetRandom.signed(varSigned: _*))
+    }
+    val result = org.scalacheck.Test.check(
+      org.scalacheck.Test.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
+  }
 }
