@@ -69,12 +69,12 @@ class OverheadBench extends AnyFunSuite {
         cur = session.tuneProcess(m.toDouble, cur).parallelisms
       }
     }
+    // An untimed pass of every (method, job) on its own session first, so
+    // no timed pass times JIT compilation, not even the first job's. Each
+    // timed pass runs a fresh session; the median of 3 is reported.
+    for (wl <- wls; (_, mk) <- methods) run(mk(wl), wl)
     println(f"${"method"}%-12s${"query"}%-16s${"ms/process"}%12s")
     for (wl <- wls; (name, mk) <- methods) {
-      // An untimed pass on its own session first, so the timed ones do not
-      // time JIT compilation (the first job timed in the JVM would). Each
-      // timed pass runs a fresh session; the median of 3 is reported.
-      run(mk(wl), wl)
       val passes = Seq.fill(3) {
         val session = mk(wl)
         val t0 = System.nanoTime()

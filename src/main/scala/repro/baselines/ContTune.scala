@@ -11,8 +11,11 @@ import repro.workloads.Workload
   *
   * Every x is a grid point, so the kernel comes from one table per pMax,
   * shared read-only by every instance in the JVM, and the posterior mean
-  * and sd at each p are computed at most once per fit. The arithmetic, and
-  * the order of every sum, is the one of a GP evaluated at arbitrary x.
+  * and sd at each p are computed at most once per fit. The Cholesky factor
+  * and the sd depend only on the fitted parallelisms, so a fit at the same
+  * parallelisms in the same order as the previous one keeps both and only
+  * re-solves for the new targets. The arithmetic, and the order of every
+  * sum, is the one of a GP evaluated at arbitrary x.
   */
 final class Gp(val pMax: Int) {
   private val kt = Gp.kernelTable(pMax)
@@ -28,22 +31,32 @@ final class Gp(val pMax: Int) {
   private val meanKnown = new Array[Boolean](stride)
   private val sdKnown = new Array[Boolean](stride)
 
-  /** Fits (p, y) observations, taken in iteration order; p must lie in
-    * 1..pMax.
+  /** Fits the observations (ps(i), ys(i)) for i < n, in that order; every
+    * p must lie in 1..pMax. The arrays are read, not kept. A rejected fit
+    * leaves the previous one in place.
     */
-  def fit(points: IterableOnce[(Int, Double)]): Unit = {
-    val pts = points.iterator.toArray
-    pts.foreach { case (p, _) => require(p >= 1 && p <= pMax, s"Gp.fit: parallelism $p outside 1..$pMax") }
-    n = pts.length
-    if (ps.length < n) {
-      ps = new Array[Int](n); chol = new Array[Double](n * n)
-      alpha = new Array[Double](n); v = new Array[Double](n)
-    }
+  def fit(ps: Array[Int], ys: Array[Double], n: Int): Unit = {
+    require(n >= 0 && n <= ps.length && n <= ys.length,
+      s"Gp.fit: $n observations in arrays of ${ps.length} and ${ys.length}")
     var i = 0
-    while (i < n) { ps(i) = pts(i)._1; alpha(i) = pts(i)._2; i += 1 }
+    while (i < n) {
+      val p = ps(i)
+      require(p >= 1 && p <= pMax, s"Gp.fit: parallelism $p outside 1..$pMax")
+      i += 1
+    }
+    if (n != this.n || !java.util.Arrays.equals(ps, 0, n, this.ps, 0, n)) {
+      if (this.ps.length < n) {
+        this.ps = new Array[Int](n); chol = new Array[Double](n * n)
+        alpha = new Array[Double](n); v = new Array[Double](n)
+      }
+      System.arraycopy(ps, 0, this.ps, 0, n)
+      this.n = n
+      java.util.Arrays.fill(sdKnown, false)
+      if (n > 0) cholesky()
+    }
+    System.arraycopy(ys, 0, alpha, 0, n)
     java.util.Arrays.fill(meanKnown, false)
-    java.util.Arrays.fill(sdKnown, false)
-    if (n > 0) { cholesky(); solveCholesky() }
+    if (n > 0) solveCholesky()
   }
 
   /** Posterior mean at p; 0 with no data. */
@@ -168,8 +181,12 @@ final class ContTuneSession(workload: Workload, mode: SimMode)
   // between observations).
   private val history = Array.fill(dag.size)(scala.collection.mutable.Map.empty[Int, Double])
   private val maxObsPerOp = 30
-  // One surrogate, refitted per operator and recommendation.
-  private val gp = new Gp(pMax)
+  // One surrogate per operator, so an operator whose observed parallelisms
+  // are unchanged since its last fit keeps its factor and sd memo.
+  private val gps = Array.fill(dag.size)(new Gp(pMax))
+  // The history handed to a fit, in the map's iteration order.
+  private val fitPs = new Array[Int](maxObsPerOp)
+  private val fitYs = new Array[Double](maxObsPerOp)
 
   override protected def observe(obs: RunResult): Unit =
     dag.ops.indices.foreach { i =>
@@ -184,9 +201,20 @@ final class ContTuneSession(workload: Workload, mode: SimMode)
 
   private def recommendOp(i: Int, req: Double, currentP: Int,
       perInstance: Double, allowProbe: Boolean): Int = {
-    val h = history(i)
-    val yScale = math.max(1.0, if (h.isEmpty) perInstance else h.values.sum / h.size)
-    gp.fit(h.iterator.map { case (p, y) => (p, y / yScale) })
+    // Left to right from the first term: the order and bits of the map's
+    // `values.sum`.
+    var n = 0
+    var sum = 0.0
+    history(i).foreachEntry { (p, y) =>
+      fitPs(n) = p; fitYs(n) = y
+      sum = if (n == 0) y else sum + y
+      n += 1
+    }
+    val yScale = math.max(1.0, if (n == 0) perInstance else sum / n)
+    var j = 0
+    while (j < n) { fitYs(j) /= yScale; j += 1 }
+    val gp = gps(i)
+    gp.fit(fitPs, fitYs, n)
     val ps = safeP(gp, req, yScale)
     if (ps == 0) {
       // Big step: conservatively above the naive rate-based estimate.
@@ -201,23 +229,23 @@ final class ContTuneSession(workload: Workload, mode: SimMode)
     }
   }
 
-  override protected def recommend(rates: Map[String, Double], obs: RunResult, iter: Int): Map[String, Int] = {
+  override protected def recommend(rates: Map[String, Double], obs: RunResult, iter: Int): Array[Int] = {
     val req = RateEstimator.requiredRates(dag, rates, obs)
     val allowProbe = iter < TuningSession.maxIter - 2 && !obs.jobBackpressure
-    dag.ops.indices.map { i =>
+    Array.tabulate(dag.size) { i =>
       val op = dag.ops(i)
-      val p =
-        if (op.opType == OpType.Source) 1
-        else recommendOp(i, req(op.id), obs.parallelisms(op.id),
-          obs.ops(op.id).measuredPerInstanceRate, allowProbe)
-      op.id -> p
-    }.toMap
+      if (op.opType == OpType.Source) 1
+      else {
+        val m = obs.ops(op.id)
+        recommendOp(i, req(i), m.parallelism, m.measuredPerInstanceRate, allowProbe)
+      }
+    }
   }
 
   // Settles only on an exact fixed point (the big-small loop redeploys
   // whenever its recommendation changes), like Algorithm 2's test.
-  override protected def settled(rec: Map[String, Int], par: Map[String, Int]): Boolean =
-    rec == par
+  override protected def settled(rec: Array[Int], par: Array[Int]): Boolean =
+    java.util.Arrays.equals(rec, par)
 }
 
 object ContTuneSession {

@@ -12,17 +12,16 @@ import repro.workloads.Workload
 final class Ds2Session(workload: Workload, mode: SimMode) extends RateBasedSession(workload, mode) {
   override val methodName = "DS2"
 
-  override protected def recommend(rates: Map[String, Double], obs: RunResult, iter: Int): Map[String, Int] = {
+  override protected def recommend(rates: Map[String, Double], obs: RunResult, iter: Int): Array[Int] = {
     val req = RateEstimator.requiredRates(dag, rates, obs)
-    dag.ops.map { op =>
-      val p =
-        if (op.opType == OpType.Source) 1
-        else {
-          val perInstance = obs.ops(op.id).measuredPerInstanceRate
-          math.min(pMax, math.max(1, math.ceil(req(op.id) / perInstance).toInt))
-        }
-      op.id -> p
-    }.toMap
+    Array.tabulate(dag.size) { i =>
+      val op = dag.ops(i)
+      if (op.opType == OpType.Source) 1
+      else {
+        val perInstance = obs.ops(op.id).measuredPerInstanceRate
+        math.min(pMax, math.max(1, math.ceil(req(i) / perInstance).toInt))
+      }
+    }
   }
 
   // Asymmetric fixed-point test: a recommendation *above* the running
@@ -30,8 +29,8 @@ final class Ds2Session(workload: Workload, mode: SimMode) extends RateBasedSessi
   // (so measurement jitter keeps DS2 reconfiguring — §V-D); a slightly
   // lower one is within noise and is not acted on (scaling down on jitter
   // would immediately bottleneck).
-  override protected def settled(rec: Map[String, Int], par: Map[String, Int]): Boolean =
-    rec.forall { case (id, p) =>
-      p <= par(id) && par(id) - p <= math.max(1, math.ceil(0.02 * par(id)).toInt)
+  override protected def settled(rec: Array[Int], par: Array[Int]): Boolean =
+    rec.indices.forall { i =>
+      rec(i) <= par(i) && par(i) - rec(i) <= math.max(1, math.ceil(0.02 * par(i)).toInt)
     }
 }

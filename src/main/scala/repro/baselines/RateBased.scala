@@ -11,7 +11,8 @@ import repro.workloads.Workload
   * complex queries, §V-D).
   */
 object RateEstimator {
-  def requiredRates(dag: Dag, sourceRates: Map[String, Double], obs: RunResult): Map[String, Double] = {
+  /** Required rate of every operator, by position in `dag.ops`. */
+  def requiredRates(dag: Dag, sourceRates: Map[String, Double], obs: RunResult): Array[Double] = {
     val req = new Array[Double](dag.size)
     dag.topo.foreach { i =>
       val ups = dag.upstream(i)
@@ -24,7 +25,7 @@ object RateEstimator {
         req(i) = s
       }
     }
-    dag.ops.indices.map(i => dag.ops(i).id -> req(i)).toMap
+    req
   }
 }
 
@@ -32,6 +33,8 @@ object RateEstimator {
   * configuration, recommend a new one, redeploy, and repeat until the
   * recommendation settles without backpressure or the iteration budget
   * runs out. A method supplies only its recommendation and its settle test.
+  * Configurations are parallelisms by position in `dag.ops`; the id-keyed
+  * map `Simulator.run` and `ProcessResult` take is built once per deploy.
   */
 abstract class RateBasedSession(workload: Workload, mode: SimMode) extends TuningSession {
   protected val pMax = TuningSession.maxParallelism(mode)
@@ -41,10 +44,10 @@ abstract class RateBasedSession(workload: Workload, mode: SimMode) extends Tunin
   /** The next configuration, given the latest measurement of the running
     * one; `iter` counts the recommendations already made in this process.
     */
-  protected def recommend(rates: Map[String, Double], obs: RunResult, iter: Int): Map[String, Int]
+  protected def recommend(rates: Map[String, Double], obs: RunResult, iter: Int): Array[Int]
 
   /** Whether a recommendation made without backpressure ends the process. */
-  protected def settled(rec: Map[String, Int], par: Map[String, Int]): Boolean
+  protected def settled(rec: Array[Int], par: Array[Int]): Boolean
 
   /** Sees every measured deployment, the first one of a process included. */
   protected def observe(obs: RunResult): Unit = ()
@@ -58,9 +61,10 @@ abstract class RateBasedSession(workload: Workload, mode: SimMode) extends Tunin
   override def tuneProcess(multiplier: Double, current: Map[String, Int]): ProcessResult = {
     val rates = workload.rates(multiplier, mode)
     measurementEpoch += 1
-    var par = current
+    var deployed = current
+    var obs = measure(rates, deployed)
+    var par = dag.ops.iterator.map(op => current(op.id)).toArray
     var reconfigs = 0
-    var obs = measure(rates, par)
     var iter = 0
     var done = false
     while (!done && iter < TuningSession.maxIter) {
@@ -73,20 +77,21 @@ abstract class RateBasedSession(workload: Workload, mode: SimMode) extends Tunin
         // the recommendation currently believes.
         val target =
           if (obs.jobBackpressure)
-            rec.map { case (id, p) =>
-              val floor = if (obs.ops(id).overloaded) par(id) + 1 else 1
-              id -> math.min(pMax, math.max(p, floor))
+            Array.tabulate(dag.size) { i =>
+              val floor = if (obs.ops(dag.ops(i).id).overloaded) par(i) + 1 else 1
+              math.min(pMax, math.max(rec(i), floor))
             }
           else rec
-        if (target == par) done = true // no further adjustment available
+        if (java.util.Arrays.equals(target, par)) done = true // no further adjustment available
         else {
           par = target
+          deployed = dag.ops.indices.map(i => dag.ops(i).id -> par(i)).toMap
           reconfigs += 1
-          obs = measure(rates, par)
+          obs = measure(rates, deployed)
         }
       }
       iter += 1
     }
-    ProcessResult(par, reconfigs, if (obs.jobBackpressure) 1 else 0, obs)
+    ProcessResult(deployed, reconfigs, if (obs.jobBackpressure) 1 else 0, obs)
   }
 }

@@ -82,46 +82,47 @@ final class ReferenceGp(noiseSd: Double = 0.05) {
 class GpSpec extends AnyFunSuite {
   import java.lang.Double.doubleToLongBits
 
+  private def fit(gp: Gp, points: (Int, Double)*): Unit =
+    gp.fit(points.map(_._1).toArray, points.map(_._2).toArray, points.size)
+
   test("posterior interpolates observations (noise-limited)") {
     val gp = new Gp(pMax = 100)
-    gp.fit(Seq(10 -> 0.2, 50 -> 1.0, 90 -> 1.8))
+    fit(gp, 10 -> 0.2, 50 -> 1.0, 90 -> 1.8)
     assert(math.abs(gp.mean(50) - 1.0) < 0.05)
     assert(gp.sd(50) < 0.1)
   }
 
   test("posterior reverts to the pessimistic prior far from data") {
     val gp = new Gp(pMax = 100)
-    gp.fit(Seq(90 -> 1.0))
+    fit(gp, 90 -> 1.0)
     assert(math.abs(gp.mean(5)) < 0.1) // zero prior mean
     assert(gp.sd(5) > 0.8)             // near-prior uncertainty
   }
 
   test("no data means (0, 1): maximal pessimism for an LCB user") {
     val gp = new Gp(pMax = 100)
-    gp.fit(Seq.empty)
+    fit(gp)
     assert(gp.mean(30) == 0.0 && gp.sd(30) == 1.0)
   }
 
   test("uncertainty shrinks near observations as data accumulates") {
-    val gp1 = new Gp(pMax = 100); gp1.fit(Seq(50 -> 1.0))
-    val gp2 = new Gp(pMax = 100); gp2.fit(Seq(45 -> 0.95, 50 -> 1.0, 55 -> 1.05))
+    val gp1 = new Gp(pMax = 100); fit(gp1, 50 -> 1.0)
+    val gp2 = new Gp(pMax = 100); fit(gp2, 45 -> 0.95, 50 -> 1.0, 55 -> 1.05)
     assert(gp2.sd(50) <= gp1.sd(50) + 1e-9)
   }
 
-  /** Fits `gp` and the reference to the same history, built as ContTune
-    * builds it, and compares the posterior at every p and the safe and
-    * probe scans against full scans of the reference for each required rate:
-    * `reqs` in units of `yScale`, and for each (p, side) in `ties` the
-    * reference's lower (-1), mean (0) or upper (1) capacity bound at p.
+  /** Whether `gp`, last fitted to `ys(i)` at `ps(i)` in that order, matches
+    * a fresh reference GP fitted to the same points: the posterior at every
+    * p bit for bit, and the safe and probe scans against full scans of the
+    * reference for each required rate: `reqs` in units of `yScale`, and for
+    * each (p, side) in `ties` the reference's lower (-1), mean (0) or upper
+    * (1) capacity bound at p.
     */
-  private def agrees(gp: Gp, points: Seq[(Int, Double)], yScale: Double, reqs: Seq[Double],
+  private def matchesReference(gp: Gp, ps: Seq[Int], ys: Seq[Double], yScale: Double, reqs: Seq[Double],
       ties: Seq[(Int, Int)]): Boolean = {
     val pMax = gp.pMax
-    val h = scala.collection.mutable.Map.empty[Int, Double]
-    points.foreach { case (p, y) => h(p) = y * yScale }
     val ref = new ReferenceGp()
-    ref.fit(h.toSeq.map { case (p, y) => (p.toDouble / pMax, y / yScale) })
-    gp.fit(h.iterator.map { case (p, y) => (p, y / yScale) })
+    ref.fit(ps.map(_.toDouble / pMax).zip(ys))
     def post(p: Int) = ref.posterior(p.toDouble / pMax)
     val tieReqs = ties.map { case (p, side) => val (mu, sd) = post(p); p * (mu + side * sd) * yScale }
     val scans = (reqs.map(_ * yScale) ++ tieReqs).forall { req =>
@@ -141,23 +142,46 @@ class GpSpec extends AnyFunSuite {
     scans && posteriors
   }
 
+  /** Fits `gp` to a history built as ContTune builds it (a map from p to
+    * y * yScale, read back in its iteration order and divided by yScale)
+    * and checks it against the reference.
+    */
+  private def agrees(gp: Gp, points: Seq[(Int, Double)], yScale: Double, reqs: Seq[Double],
+      ties: Seq[(Int, Int)]): Boolean = {
+    val h = scala.collection.mutable.Map.empty[Int, Double]
+    points.foreach { case (p, y) => h(p) = y * yScale }
+    val (ps, ys) = h.toSeq.map { case (p, y) => (p, y / yScale) }.unzip
+    gp.fit(ps.toArray, ys.toArray, ps.size)
+    matchesReference(gp, ps, ys, yScale, reqs, ties)
+  }
+
+  private val genY = Gen.frequency(20 -> Gen.choose(0.0, 3.0), 1 -> Gen.const(0.0), 1 -> Gen.const(-0.0),
+    1 -> Gen.choose(-1.0, 0.0))
+  private val genYScale = Gen.oneOf(Gen.const(1.0), Gen.choose(1.0, 5000.0))
+  private def genReqs(pMax: Int): Gen[List[Double]] =
+    Gen.listOfN(6, Gen.frequency(10 -> Gen.choose(0.0, 2.0 * pMax), 1 -> Gen.const(0.0),
+      1 -> Gen.const(Double.NaN)))
+
+  private def check(prop: Prop, what: String): Unit = {
+    val result = org.scalacheck.Test.check(
+      org.scalacheck.Test.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(result.passed, s"$what: ${org.scalacheck.util.Pretty.pretty(result)}")
+  }
+
   test("grid GP and its safe and probe scans match the reference GP bit for bit") {
     // Histories of 0-30 distinct grid points, inserted into a map in the
     // generated order (so the map's iteration order varies), values around
     // ContTune's O(1) scale with exact zeros of both signs. One grid GP per
     // pMax serves every case, so its buffers and memo are reused across
     // fits of growing and shrinking size.
-    val genY = Gen.frequency(20 -> Gen.choose(0.0, 3.0), 1 -> Gen.const(0.0), 1 -> Gen.const(-0.0),
-      1 -> Gen.choose(-1.0, 0.0))
     def genCase(pMax: Int): Gen[(Seq[(Int, Double)], Double, Seq[Double], Seq[(Int, Int)])] =
       for {
         n      <- Gen.choose(0, 30)
         ps     <- Gen.pick(n, 1 to pMax)
         order  <- Gen.listOfN(n, Gen.choose(0.0, 1.0))
         ys     <- Gen.listOfN(n, genY)
-        yScale <- Gen.oneOf(Gen.const(1.0), Gen.choose(1.0, 5000.0))
-        reqs   <- Gen.listOfN(6, Gen.frequency(10 -> Gen.choose(0.0, 2.0 * pMax), 1 -> Gen.const(0.0),
-          1 -> Gen.const(Double.NaN)))
+        yScale <- genYScale
+        reqs   <- genReqs(pMax)
         ties   <- Gen.listOfN(6, Gen.zip(Gen.choose(1, pMax), Gen.oneOf(-1, 0, 1)))
       } yield (ps.toSeq.zip(order).sortBy(_._2).map(_._1).zip(ys), yScale, reqs, ties)
     // In the fixed cases every product in the mean is a zero of either
@@ -166,23 +190,92 @@ class GpSpec extends AnyFunSuite {
     for (pMax <- Seq(40, 100)) {
       val gp = new Gp(pMax)
       signedZeros.foreach(points => assert(agrees(gp, points, 1.0, Seq(0.0, 1.0), Nil), s"pMax=$pMax: $points"))
-      val prop = Prop.forAll(genCase(pMax)) { case (points, yScale, reqs, ties) =>
+      check(Prop.forAll(genCase(pMax)) { case (points, yScale, reqs, ties) =>
         agrees(gp, points, yScale, reqs, ties)
+      }, s"pMax=$pMax")
+    }
+  }
+
+  test("a refitted grid GP matches a fresh reference after every kind of refit") {
+    // One GP through a sequence of refits, as ContTune refits an operator's
+    // surrogate: the same parallelisms in the same order with new values and
+    // a new yScale (the fit that keeps the factor and sd memo), the same
+    // parallelisms reordered, a history that grows, shrinks or empties, and
+    // a rejected fit, which must leave the previous fit in place. Each
+    // sequence holds every kind once or more, in a generated order.
+    sealed trait Step
+    final case class Refit(ps: List[Int], ys: List[Double], yScale: Double, reqs: List[Double]) extends Step
+    final case class Reject(ps: List[Int]) extends Step
+    val kinds = List("same", "same", "same", "reorder", "reorder", "grow", "grow", "shrink", "empty",
+      "reject", "reject")
+    // `Gen.pick` keeps its source's order, so orders are drawn here.
+    def shuffled[A](xs: List[A]): Gen[List[A]] =
+      Gen.listOfN(xs.size, Gen.choose(0.0, 1.0)).map(keys => xs.zip(keys).sortBy(_._2).map(_._1))
+    def genSteps(pMax: Int): Gen[List[Step]] = {
+      def refit(ps: List[Int]): Gen[Refit] = for {
+        ys     <- Gen.listOfN(ps.size, genY)
+        yScale <- genYScale
+        reqs   <- genReqs(pMax)
+      } yield Refit(ps, ys, yScale, reqs)
+      def next(kind: String, last: List[Int]): Gen[Step] = kind match {
+        case "same"    => refit(last)
+        case "reorder" => shuffled(last).flatMap(refit)
+        case "grow" =>
+          for {
+            k     <- Gen.choose(1, math.max(1, 30 - last.size))
+            added <- Gen.pick(k, (1 to pMax).filterNot(last.contains))
+            ps    <- shuffled(last ++ added)
+            step  <- refit(ps)
+          } yield step
+        case "shrink" => Gen.someOf(last).flatMap(kept => refit(last.filter(kept.toSet)))
+        case "empty"  => refit(Nil)
+        case "reject" =>
+          for {
+            bad <- Gen.oneOf(0, -1, pMax + 1)
+            at  <- Gen.choose(0, last.size)
+          } yield Reject(last.patch(at, List(bad), 0))
       }
-      val result = org.scalacheck.Test.check(
-        org.scalacheck.Test.Parameters.default.withMinSuccessfulTests(200), prop)
-      assert(result.passed, s"pMax=$pMax: ${org.scalacheck.util.Pretty.pretty(result)}")
+      for {
+        first <- Gen.choose(1, 20).flatMap(n => Gen.pick(n, 1 to pMax)).flatMap(ps => shuffled(ps.toList))
+        start <- refit(first)
+        order <- shuffled(kinds)
+        steps <- order.foldLeft(Gen.const((first, List[Step](start)))) { (acc, kind) =>
+          acc.flatMap { case (last, done) =>
+            next(kind, last).map {
+              case r: Refit  => (r.ps, r :: done)
+              case j: Reject => (last, j :: done)
+            }
+          }
+        }
+      } yield steps._2.reverse
+    }
+    for (pMax <- Seq(40, 100)) {
+      check(Prop.forAll(genSteps(pMax)) { steps =>
+        val gp = new Gp(pMax)
+        var last: Refit = null
+        steps.forall {
+          case r: Refit =>
+            val ys = r.ys.map(_ / r.yScale)
+            gp.fit(r.ps.toArray, ys.toArray, r.ps.size)
+            last = r
+            matchesReference(gp, r.ps, ys, r.yScale, r.reqs, Nil)
+          case Reject(ps) =>
+            val e = intercept[IllegalArgumentException](gp.fit(ps.toArray, ps.map(_ => 1.0).toArray, ps.size))
+            e.getMessage.contains("outside") &&
+              matchesReference(gp, last.ps, last.ys.map(_ / last.yScale), last.yScale, last.reqs, Nil)
+        }
+      }, s"pMax=$pMax")
     }
   }
 
   test("grid GP rejects parallelism outside 1..pMax") {
     val gp = new Gp(pMax = 40)
-    gp.fit(Seq(3 -> 1.0))
-    val e = intercept[IllegalArgumentException](gp.fit(Seq(3 -> 2.0, 41 -> 1.0)))
+    fit(gp, 3 -> 1.0)
+    val e = intercept[IllegalArgumentException](fit(gp, 3 -> 2.0, 41 -> 1.0))
     assert(e.getMessage.contains("41"), e.getMessage)
     // The rejected fit leaves the previous one in place.
     val fresh = new Gp(pMax = 40)
-    fresh.fit(Seq(3 -> 1.0))
+    fit(fresh, 3 -> 1.0)
     assert(gp.mean(10) == fresh.mean(10) && gp.sd(10) == fresh.sd(10))
   }
 }
@@ -266,11 +359,13 @@ class BaselinesSpec extends AnyFunSuite {
     val rates = wl.rates(5, SimMode.Flink)
     val obs = Simulator.run(dag, rates, dag.ops.map(_.id -> 10).toMap, SimMode.Flink)
     val req = RateEstimator.requiredRates(dag, rates, obs)
-    dag.ops.map(_.id).foreach { id =>
+    assert(req.length == dag.size)
+    dag.ops.indices.foreach { i =>
+      val id = dag.ops(i).id
       val trueReq = obs.ops(id).offeredRate
       if (trueReq > 0) {
-        assert(req(id) > trueReq * 0.5 && req(id) < trueReq * 2.0,
-          s"$id req=${req(id)} true=$trueReq")
+        assert(req(i) > trueReq * 0.5 && req(i) < trueReq * 2.0,
+          s"$id req=${req(i)} true=$trueReq")
       }
     }
   }

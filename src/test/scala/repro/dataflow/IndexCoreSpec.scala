@@ -209,8 +209,8 @@ class IndexCoreSpec extends AnyFunSuite {
 
           val req = RateEstimator.requiredRates(dag, rs, got)
           val reqRef = StringKeyedReference.requiredRates(dag, rs, ref)
-          assert(req.keySet == reqRef.keySet)
-          assert(req.forall { case (id, r) => bits(r) == bits(reqRef(id)) }, s"${w.key} config $c")
+          assert(req.length == dag.size && reqRef.keySet == dag.index.keySet)
+          assert(dag.ops.indices.forall(i => bits(req(i)) == bits(reqRef(dag.ops(i).id))), s"${w.key} config $c")
         }
         // GNN samples share the DAG's arrays, which equal the old rebuild.
         val s = Pretrain.agnosticSample(dag, rates(w, 1.0, mode))
